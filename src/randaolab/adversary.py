@@ -6,7 +6,7 @@ two epochs later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .randao import (
     SLOTS_PER_EPOCH,
@@ -89,19 +89,26 @@ class AttackOutcome:
 
 
 def tail_decision_slots(
-    epoch: EpochState, attacker: AttackerProfile
+    epoch: EpochState,
+    attacker: AttackerProfile,
+    tail_limit: Optional[int] = None,
 ) -> list[int]:
     """Maximal suffix of slots whose proposers are all attacker-controlled.
 
     Only the tail is grindable: by the time those slots arrive, every
     earlier reveal is public, so the attacker can evaluate each of its
-    2^h withhold patterns against the final mix.
+    2^h withhold patterns against the final mix.  tail_limit keeps only
+    the last `tail_limit` of those slots (a weaker adversary used in
+    budget sweeps); None means the full tail.
     """
+    if tail_limit is not None and tail_limit < 0:
+        raise ValueError("tail_limit must be >= 0")
     slots: list[int] = []
     for slot in range(SLOTS_PER_EPOCH - 1, -1, -1):
         if epoch.proposer_by_slot[slot] not in attacker.controlled:
             break
         slots.append(slot)
+    slots = slots[:tail_limit]
     slots.reverse()
     return slots
 
@@ -158,6 +165,68 @@ def evaluate_strategy(
     return _attacker_slot_count(seed, attacker, registry)
 
 
+def grind_inputs(
+    reveals: Sequence[Optional[bytes]], slots: Sequence[int]
+) -> tuple[int, list[int]]:
+    """The XOR of every present reveal, and the reveals of `slots`: the
+    base mix and the toggles of mask_payoffs."""
+    base_mix = 0
+    for reveal in reveals:
+        if reveal is not None:
+            base_mix ^= int.from_bytes(reveal, "big")
+    for slot in slots:
+        if reveals[slot] is None:
+            raise ValueError(f"decision slot {slot} has no reveal to toggle")
+    return base_mix, [int.from_bytes(reveals[s], "big") for s in slots]
+
+
+def mask_payoffs(
+    base_mix: int,
+    toggles: Sequence[int],
+    epoch: int,
+    registry: Sequence[Validator],
+    controlled: frozenset[int],
+) -> Iterator[int]:
+    """Attacker proposer slots two epochs later for every mask over
+    `toggles`, in ascending mask order.
+
+    Bit i of a mask XORs toggles[i] into base_mix, so mask 0 is honest
+    play.  Going from mask - 1 to mask flips the lowest set bit of mask
+    and every bit below it: one XOR with a prefix fold of the toggles.
+    """
+    prefix = []
+    fold = 0
+    for toggle in toggles:
+        fold ^= toggle
+        prefix.append(fold)
+    mix = base_mix
+    for mask in range(1 << len(toggles)):
+        if mask:
+            mix ^= prefix[(mask & -mask).bit_length() - 1]
+        seed = derive_seed(mix.to_bytes(32, "big"), epoch)
+        yield sum(
+            1 for idx in select_proposers(seed, registry) if idx in controlled
+        )
+
+
+def grind(
+    base_mix: int,
+    toggles: Sequence[int],
+    epoch: int,
+    registry: Sequence[Validator],
+    controlled: frozenset[int],
+) -> AttackOutcome:
+    """Best of the 2^len(toggles) masks of mask_payoffs; ties go to the
+    smallest mask value."""
+    payoffs = list(
+        mask_payoffs(base_mix, toggles, epoch, registry, controlled)
+    )
+    best = max(payoffs)
+    return AttackOutcome(
+        Strategy(payoffs.index(best), len(toggles)), best, payoffs[0]
+    )
+
+
 def best_strategy(
     epoch: EpochState,
     attacker: AttackerProfile,
@@ -165,52 +234,16 @@ def best_strategy(
     cap: int = DEFAULT_STRATEGY_CAP,
     tail_limit: Optional[int] = None,
 ) -> AttackOutcome:
-    """Grind all 2^h masks; ties go to the smallest mask value.
-
-    tail_limit restricts the attacker to the last `tail_limit` decision
-    slots (a weaker adversary used in budget sweeps); None means the
-    full tail.
-    """
-    decision_slots = tail_decision_slots(epoch, attacker)
-    if tail_limit is not None:
-        if tail_limit < 0:
-            raise ValueError("tail_limit must be >= 0")
-        decision_slots = decision_slots[len(decision_slots) - min(
-            tail_limit, len(decision_slots)
-        ):]
+    """Grind all 2^h withhold masks over the tail decision slots (cut to
+    tail_limit, see tail_decision_slots); ties go to the smallest mask
+    value."""
+    decision_slots = tail_decision_slots(epoch, attacker, tail_limit)
     h = len(decision_slots)
     if h > cap:
         raise StrategyCapExceeded(f"2^{h} strategies exceed cap 2^{cap}")
-    for slot in decision_slots:
-        if epoch.posted[slot] is None:
-            raise ValueError(
-                f"decision slot {slot} has no posted reveal to withhold"
-            )
-
-    # Shared precomputation: withholding toggles a slot's reveal in and
-    # out of the XOR fold, so each mask is a few big-int XORs.
-    full_mix = int.from_bytes(epoch.mix, "big")
-    reveal_int = [
-        int.from_bytes(epoch.posted[s], "big") for s in decision_slots
-    ]
-
-    best_mask = 0
-    best_payoff = -1
-    honest_payoff = -1
-    for mask in range(1 << h):
-        mix = full_mix
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            mix ^= reveal_int[i]
-            m &= m - 1
-        seed = derive_seed(mix.to_bytes(32, "big"), epoch.epoch)
-        payoff = _attacker_slot_count(seed, attacker, registry)
-        if mask == 0:
-            honest_payoff = payoff
-        if payoff > best_payoff:
-            best_payoff = payoff
-            best_mask = mask
-    return AttackOutcome(
-        Strategy(best_mask, h), best_payoff, honest_payoff
+    return grind(
+        *grind_inputs(epoch.posted, decision_slots),
+        epoch.epoch,
+        registry,
+        attacker.controlled,
     )

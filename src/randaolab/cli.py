@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .adversary import Strategy, evaluate_strategy
+from .adversary import Strategy, grind_inputs, mask_payoffs
 from .harness import (
     EmitError,
     classic_trial_detail,
@@ -23,8 +23,6 @@ from .harness import (
     sweep,
 )
 from .scenario import ConfigError, load_grid, load_scenario
-from .threshold_randao import evaluate_flip_strategy
-from .shamir import SssConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +109,27 @@ def _mask_bits(mask: int, width: int) -> str:
     return format(mask, f"0{width}b")[::-1] if width else "(empty)"
 
 
+def _print_masks(detail, index: int, reveals, slots, verb: str) -> None:
+    """One line per mask over `slots`, each scored by the grinding
+    kernel on the trial's own inputs."""
+    width = len(slots)
+    chosen = detail.outcome.chosen.withhold_mask
+    payoffs = mask_payoffs(
+        *grind_inputs(reveals, slots),
+        index,
+        detail.registry,
+        detail.profile.controlled,
+    )
+    for mask, payoff in enumerate(payoffs):
+        marker = "  <- chosen" if mask == chosen else ""
+        print(f"  mask {_mask_bits(mask, width)} {verb} "
+              f"{Strategy(mask, width).withheld(slots)}: "
+              f"{payoff} attacker slots in epoch+2{marker}")
+
+
 def _cmd_attack_demo(args: argparse.Namespace) -> int:
+    if not 0 <= args.trial < 2**64:
+        raise ConfigError("--trial must be in [0, 2^64)")
     overrides = _overrides(args)
     overrides["tail_limit"] = None
     cfg = load_scenario(args.config, overrides)
@@ -122,36 +140,24 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
           f"trial={index}")
     if cfg.protocol == "classic":
         detail = classic_trial_detail(cfg, index)
+    else:
+        detail = sss_trial_detail(cfg, index)
+    print(f"attacker stake achieved: "
+          f"{detail.profile.stake_fraction:.4f} "
+          f"({len(detail.profile.controlled)} validators)")
+    if cfg.protocol == "classic":
         attacker_now = [
             s
             for s, v in enumerate(detail.state.proposer_by_slot)
             if v in detail.profile.controlled
         ]
-        print(f"attacker stake achieved: "
-              f"{detail.profile.stake_fraction:.4f} "
-              f"({len(detail.profile.controlled)} validators)")
         print(f"attacker proposer slots this epoch: {attacker_now}")
         h = len(detail.decision_slots)
         print(f"tail decision slots: {detail.decision_slots} (h = {h}, "
               f"2^{h} = {1 << h} strategies)")
-        for mask in range(1 << h):
-            strategy = Strategy(mask, h)
-            payoff = evaluate_strategy(
-                detail.state, strategy, detail.profile, detail.registry
-            )
-            marker = "  <- chosen" if mask == detail.outcome.chosen.withhold_mask else ""
-            withheld = strategy.withheld(detail.decision_slots)
-            print(f"  mask {_mask_bits(mask, h)} withhold {withheld}: "
-                  f"{payoff} attacker slots in epoch+2{marker}")
-        print(f"honest payoff {detail.outcome.honest_payoff}, best "
-              f"{detail.outcome.payoff} "
-              f"(gain {detail.outcome.payoff - detail.outcome.honest_payoff})")
+        _print_masks(detail, index, detail.state.posted,
+                     detail.decision_slots, "withhold")
     else:
-        detail = sss_trial_detail(cfg, index)
-        sss_cfg = SssConfig(cfg.sss_threshold_n, 31)
-        print(f"attacker stake achieved: "
-              f"{detail.profile.stake_fraction:.4f} "
-              f"({len(detail.profile.controlled)} validators)")
         print(f"joined proposer slots t = {detail.observed.t}, attacker "
               f"slots h = {detail.h_slots}, threshold n = "
               f"{cfg.sss_threshold_n}")
@@ -159,27 +165,15 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
         width = len(detail.flip_slots)
         print(f"flippable origin slots: {detail.flip_slots} "
               f"(2^{width} = {1 << width} strategies)")
-        for mask in range(1 << width):
-            strategy = Strategy(mask, width)
-            payoff = evaluate_flip_strategy(
-                detail.observed,
-                detail.profile,
-                sss_cfg,
-                detail.registry,
-                strategy,
-                detail.flip_slots,
-            )
-            marker = "  <- chosen" if mask == detail.outcome.chosen.withhold_mask else ""
-            suppressed = strategy.withheld(detail.flip_slots)
-            print(f"  mask {_mask_bits(mask, width)} suppress {suppressed}: "
-                  f"{payoff} attacker slots in epoch+2{marker}")
+        _print_masks(detail, index, detail.mask0_reveals,
+                     detail.flip_slots, "suppress")
         unrecoverable = [
             s for s, r in enumerate(detail.recovery.per_slot) if r is None
         ]
         print(f"unrecoverable slots after attack: {unrecoverable}")
-        print(f"honest payoff {detail.outcome.honest_payoff}, best "
-              f"{detail.outcome.payoff} "
-              f"(gain {detail.outcome.payoff - detail.outcome.honest_payoff})")
+    print(f"honest payoff {detail.outcome.honest_payoff}, best "
+          f"{detail.outcome.payoff} "
+          f"(gain {detail.outcome.payoff - detail.outcome.honest_payoff})")
     return 0
 
 
@@ -190,6 +184,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError("--workers must be >= 1")
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "sweep":

@@ -9,7 +9,7 @@ exhaustive checks are feasible, which the tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Smallest prime above 2**256; verified at import by the Miller-Rabin check
 # below and independently re-derived in the test suite.
@@ -207,7 +207,7 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An int bound to its field, with operator sugar for the algebra."""
+    """An int bound to its field; shares carry their y values this way."""
 
     value: int
     field: PrimeField
@@ -216,53 +216,8 @@ class FieldElement:
         if not 0 <= self.value < self.field.modulus:
             raise ValueError("value out of field range")
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.field.modulus != other.field.modulus:
-            raise ValueError("elements from different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
     def encode(self) -> bytes:
         return self.field.encode(self.value)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients low-to-high over one field; degree = len - 1."""
-
-    coefficients: tuple[FieldElement, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("polynomial needs at least the constant term")
-        f = self.coefficients[0].field
-        for c in self.coefficients[1:]:
-            if c.field.modulus != f.modulus:
-                raise ValueError("coefficients from different fields")
-
-    @property
-    def field(self) -> PrimeField:
-        return self.coefficients[0].field
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 @dataclass(frozen=True)
@@ -275,37 +230,6 @@ class SharePoint:
     def __post_init__(self) -> None:
         if self.x < 1:
             raise ValueError("share index must be >= 1")
-
-
-def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def fe_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def poly_eval(poly: Polynomial, x: FieldElement) -> FieldElement:
-    if x.field.modulus != poly.field.modulus:
-        raise ValueError("point from a different field")
-    coeffs = [c.value for c in poly.coefficients]
-    return poly.field.element(poly.field.eval_at(coeffs, x.value))
-
-
-def interpolate_at_zero(points: Iterable[SharePoint]) -> FieldElement:
-    """Constant term of the unique polynomial through the given points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("need at least one point")
-    f = pts[0].y.field
-    for p in pts[1:]:
-        if p.y.field.modulus != f.modulus:
-            raise ValueError("points from different fields")
-    return f.element(f.interpolate_at_zero([(p.x, p.y.value) for p in pts]))
 
 
 FIELD_256 = PrimeField(PRIME_256)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +27,8 @@ from .adversary import (
     AttackerProfile,
     AttackOutcome,
     best_strategy,
+    grind,
+    grind_inputs,
     tail_decision_slots,
 )
 from .randao import (
@@ -34,6 +37,8 @@ from .randao import (
     EpochState,
     Validator,
     compute_reveal,
+    derive_seed,
+    mix_reveals,
     select_proposers,
 )
 from .scenario import ConfigError, ScenarioConfig, parse_balance_model
@@ -42,12 +47,9 @@ from .threshold_randao import (
     RecoveryOutcome,
     RevealPhaseState,
     SecurityCase,
-    adversary_flip_set,
-    apply_flip_strategy,
-    best_flip_strategy,
     classify_security_case,
     distribute_shares,
-    recover_all,
+    flip_reveals,
     run_reveal_phase,
 )
 
@@ -123,7 +125,7 @@ class SssTrialDetail(NamedTuple):
     observed: RevealPhaseState
     flip_slots: list[int]
     outcome: AttackOutcome
-    final: RevealPhaseState
+    mask0_reveals: list[Optional[bytes]]
     recovery: RecoveryOutcome
     case: SecurityCase
     h_slots: int
@@ -188,9 +190,7 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
         cap=cfg.strategy_cap,
         tail_limit=cfg.tail_limit,
     )
-    decision = tail_decision_slots(state, profile)
-    if cfg.tail_limit is not None:
-        decision = decision[len(decision) - min(cfg.tail_limit, len(decision)):]
+    decision = tail_decision_slots(state, profile, cfg.tail_limit)
     return ClassicTrialDetail(
         registry, profile, assignment_seed, state, decision, outcome
     )
@@ -220,8 +220,10 @@ def classic_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
 
 def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     """One threshold-sharing epoch: full distribution, honest reveal
-    phase, rushing adversary grinding its suppression mask, recovery,
-    and classification."""
+    phase, one recovery pass, the rushing adversary grinding its
+    suppression mask, and classification.  The chosen mask leaves its
+    withheld flip slots unrecovered; every other slot is as under
+    mask 0."""
     rng, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
@@ -244,25 +246,27 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         epoch=index,
     )
     h_slots = sum(1 for v in proposers if v in profile.controlled)
-    flippable = sorted(adversary_flip_set(observed, profile, sss_cfg))
-    flip_slots = flippable[: cfg.strategy_cap]
-    outcome = best_flip_strategy(
-        observed,
-        profile,
-        sss_cfg,
-        registry,
-        cap=cfg.strategy_cap,
-        max_flips=cfg.strategy_cap,
+    mask0_reveals, flip_slots = flip_reveals(
+        observed, profile, sss_cfg, cfg.strategy_cap
     )
-    if flippable:
-        final = apply_flip_strategy(
-            observed, profile, sss_cfg, outcome.chosen, flip_slots=flip_slots
-        )
-    else:
-        # Empty flip set: the adversary has no move, the observed phase
-        # is already final.
-        final = observed
-    recovery = recover_all(final, sss_cfg)
+    outcome = grind(
+        *grind_inputs(mask0_reveals, flip_slots),
+        index,
+        registry,
+        profile.controlled,
+    )
+    withheld = set(outcome.chosen.withheld(flip_slots))
+    per_slot = tuple(
+        None if slot in withheld else reveal
+        for slot, reveal in enumerate(mask0_reveals)
+    )
+    mix = mix_reveals(per_slot)
+    recovery = RecoveryOutcome(
+        per_slot=per_slot,
+        mix=mix,
+        seed=derive_seed(mix, index),
+        broken=observed.t < cfg.sss_threshold_n,
+    )
     case = classify_security_case(observed.t, h_slots, cfg.sss_threshold_n)
     return SssTrialDetail(
         registry,
@@ -272,7 +276,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         observed,
         flip_slots,
         outcome,
-        final,
+        mask0_reveals,
         recovery,
         case,
         h_slots,
@@ -385,6 +389,7 @@ def _aggregate(cfg: ScenarioConfig, rows: Sequence[TrialRow]) -> MetricsReport:
 
 def _trial_rows(cfg: ScenarioConfig, workers: int) -> list[TrialRow]:
     trial = sss_trial if cfg.protocol == "sss" else classic_trial
+    workers = min(workers, cfg.epochs, os.cpu_count() or 1)
     if workers <= 1:
         return [trial(cfg, i) for i in range(cfg.epochs)]
     chunk = max(1, cfg.epochs // (workers * 4))

@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .adversary import DEFAULT_STRATEGY_CAP
 from .randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH
 
 
@@ -98,8 +99,10 @@ class ScenarioConfig:
             raise ConfigError("epochs must be >= 1")
         if not 0 <= self.rng_seed < 2**64:
             raise ConfigError("rng_seed must be a 64-bit unsigned integer")
-        if self.strategy_cap < 0:
-            raise ConfigError("strategy_cap must be >= 0")
+        if not 0 <= self.strategy_cap <= DEFAULT_STRATEGY_CAP:
+            raise ConfigError(
+                f"strategy_cap must be in [0, {DEFAULT_STRATEGY_CAP}]"
+            )
         if self.tail_limit is not None and self.tail_limit < 0:
             raise ConfigError("tail_limit must be >= 0")
 

@@ -17,7 +17,6 @@ from .field import (
     FIELD_256,
     SECRET_BYTES,
     FieldElement,
-    Polynomial,
     PrimeField,
     SharePoint,
 )
@@ -202,13 +201,3 @@ def decode_share(blob: bytes, field: PrimeField = FIELD_256) -> SharePoint:
         raise ValueError("share index must be >= 1")
     return SharePoint(x, field.element(field.decode(blob[1:])))
 
-
-def sharing_polynomial(
-    value: FieldElement, config: SssConfig, entropy: Entropy
-) -> Polynomial:
-    """Expose the sampled polynomial itself (used by diagnostics/tests)."""
-    field = value.field
-    coeffs = _sample_polynomial(
-        value.value, config.threshold_n - 1, field, entropy
-    )
-    return Polynomial(tuple(field.element(c) for c in coeffs))

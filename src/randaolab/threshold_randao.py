@@ -21,6 +21,8 @@ from .adversary import (
     AttackOutcome,
     Strategy,
     StrategyCapExceeded,
+    grind,
+    grind_inputs,
 )
 from .field import FIELD_256, PrimeField, SharePoint
 from .randao import (
@@ -221,11 +223,7 @@ def run_reveal_phase(
     )
 
 
-def recover_all(
-    state: RevealPhaseState,
-    config: SssConfig,
-    field: PrimeField = FIELD_256,
-) -> RecoveryOutcome:
+def recover_all(state: RevealPhaseState, config: SssConfig) -> RecoveryOutcome:
     """Recover every slot with >= n broadcast shares; the rest are
     treated as absent proposers (zero contribution to the mix)."""
     by_origin: dict[int, list[SharePoint]] = {}
@@ -400,6 +398,39 @@ def evaluate_flip_strategy(
     )
 
 
+def flip_reveals(
+    state: RevealPhaseState,
+    attacker: AttackerProfile,
+    config: SssConfig,
+    max_flips: Optional[int] = None,
+) -> tuple[list[Optional[bytes]], list[int]]:
+    """Per-slot reveals when the adversary plays mask 0, and the ordered
+    flip set cut to its `max_flips` lowest slots.
+
+    Origins with >= n honest shares recover from those.  Flippable
+    origins recover from their honest shares plus the adversary's
+    lowest-x top-up (see _release_plan); every other origin stays
+    absent.  Each origin is recovered once; a mask then only toggles
+    flip slots' reveals out of the mix.
+    """
+    if max_flips is not None and max_flips < 0:
+        raise ValueError("max_flips must be >= 0")
+    flippable = adversary_flip_set(state, attacker, config)
+    held = _held_by_adversary(state, attacker)
+    by_origin: dict[int, list[SharePoint]] = {}
+    for origin, point, _ in state.broadcast:
+        by_origin.setdefault(origin, []).append(point)
+    n = config.threshold_n
+    reveals: list[Optional[bytes]] = []
+    for slot in range(SLOTS_PER_EPOCH):
+        points = by_origin.get(slot, [])
+        if slot in flippable:
+            top_up = sorted(held[slot], key=lambda e: e.point.x)
+            points = points + [e.point for e in top_up[: n - len(points)]]
+        reveals.append(recover(points, config) if len(points) >= n else None)
+    return reveals, sorted(flippable)[:max_flips]
+
+
 def best_flip_strategy(
     state: RevealPhaseState,
     attacker: AttackerProfile,
@@ -407,79 +438,25 @@ def best_flip_strategy(
     registry: Sequence[Validator],
     cap: int = DEFAULT_STRATEGY_CAP,
     max_flips: Optional[int] = None,
-    field: PrimeField = FIELD_256,
 ) -> AttackOutcome:
     """Grind all 2^|F| suppression subsets; ties go to the smallest mask.
 
     Slots outside the flip set are out of the adversary's hands: origins
     with >= n honest shares recover regardless, the rest stay absent
-    regardless.  Each flippable origin is recovered once (honest shares
-    plus the adversary's lowest-x top-up) and then toggled in and out of
-    the mix per mask.
+    regardless, and flippable origins beyond the max_flips budget are
+    released as under mask 0.  Mask bit i suppresses flip slot i.
     """
-    flippable = adversary_flip_set(state, attacker, config)
-    flip_slots = flip_decision_slots(state, attacker, config, max_flips)
+    reveals, flip_slots = flip_reveals(state, attacker, config, max_flips)
     width = len(flip_slots)
     if width > cap:
         raise StrategyCapExceeded(
             f"2^{width} flip strategies exceed cap 2^{cap}"
         )
-
-    held = _held_by_adversary(state, attacker)
-    honest_counts = _honest_counts(state)
-    by_origin: dict[int, list[SharePoint]] = {}
-    for origin, point, _ in state.broadcast:
-        by_origin.setdefault(origin, []).append(point)
-    distributed = frozenset(e.origin_slot for e in state.envelopes)
-    n = config.threshold_n
-
-    def topped_up(origin: int) -> bytes:
-        need = n - honest_counts.get(origin, 0)
-        top_up = sorted(held[origin], key=lambda e: e.point.x)[:need]
-        return recover(by_origin.get(origin, []) + [e.point for e in top_up],
-                       config)
-
-    # Mix contribution no strategy can change: origins the honest side
-    # recovers alone, plus flippable origins outside the grinding budget
-    # (the adversary plays honestly on those; see _release_plan).
-    base_mix = 0
-    in_budget = set(flip_slots)
-    for slot in range(SLOTS_PER_EPOCH):
-        if slot not in distributed or slot in in_budget:
-            continue
-        if honest_counts.get(slot, 0) >= n:
-            base_mix ^= int.from_bytes(recover(by_origin[slot], config), "big")
-        elif slot in flippable:
-            base_mix ^= int.from_bytes(topped_up(slot), "big")
-
-    flip_reveal_int = [
-        int.from_bytes(topped_up(origin), "big") for origin in flip_slots
-    ]
-
-    best_mask = 0
-    best_payoff = -1
-    honest_payoff = -1
-    def attacker_slots(seed: bytes) -> int:
-        return sum(
-            1
-            for idx in select_proposers(seed, registry)
-            if idx in attacker.controlled
-        )
-
-    for mask in range(1 << width):
-        mix = base_mix
-        for i in range(width):
-            if not mask >> i & 1:
-                mix ^= flip_reveal_int[i]
-        seed = derive_seed(mix.to_bytes(32, "big"), state.epoch)
-        payoff = attacker_slots(seed)
-        if mask == 0:
-            honest_payoff = payoff
-        if payoff > best_payoff:
-            best_payoff = payoff
-            best_mask = mask
-    return AttackOutcome(
-        Strategy(best_mask, width), best_payoff, honest_payoff
+    return grind(
+        *grind_inputs(reveals, flip_slots),
+        state.epoch,
+        registry,
+        attacker.controlled,
     )
 
 

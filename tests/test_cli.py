@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, emission targets, flag/ config precedence,
 and the attack-demo traces."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randaolab.cli import main
 from randaolab.harness import COLUMNS
@@ -106,6 +109,23 @@ def test_no_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command", [["simulate", *BASE], ["sweep", "--config", "grid.ini"]]
+)
+def test_workers_below_one_exits_2(command, workers, capsys):
+    code, out, err = run_main([*command, "--workers", workers], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error: --workers" in err
+
+
+def test_cap_above_default_exits_2(capsys):
+    code, _, err = run_main(["simulate", *BASE, "--cap", "40"], capsys)
+    assert code == 2
+    assert "config error: strategy_cap" in err
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_emits_one_row_per_cell(tmp_path, capsys):
@@ -171,6 +191,16 @@ def test_attack_demo_sss_trace(capsys):
     assert "unrecoverable slots after attack:" in out
 
 
+@pytest.mark.parametrize("trial", ["-1", str(2**64), str(-(2**70))])
+def test_attack_demo_trial_out_of_range_exits_2(trial, capsys):
+    code, out, err = run_main(
+        ["attack-demo", "--validators", "40", "--trial", trial], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "config error: --trial" in err
+
+
 def test_attack_demo_trace_is_deterministic(capsys):
     argv = ["attack-demo", "--protocol", "classic", "--validators", "40",
             "--stake", "0.3", "--seed", "0"]
@@ -189,3 +219,66 @@ def test_module_invocation_matches_main(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == ",".join(COLUMNS)
+
+
+# -- the flag space --------------------------------------------------------------------
+
+def _flag(name, values):
+    return values.map(lambda value: [name, str(value)])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+# Any value at all for one flag, within the size limits of the run.
+_WILD = {
+    "--epochs": st.integers(max_value=2),
+    "--seed": st.integers(),
+    "--validators": st.integers(max_value=64),
+    "--stake": st.floats(),
+    "--participation": st.floats(),
+    "--threshold": st.integers(),
+    "--cap": st.integers(max_value=6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "attack-demo"]),
+    flags=st.tuples(
+        _maybe("--protocol", st.sampled_from(["classic", "sss"])),
+        _flag("--epochs", st.integers(1, 2)),
+        _maybe("--seed", st.integers(0, 2**64 - 1)),
+        _flag("--validators", st.integers(1, 64)),
+        _maybe("--stake", st.floats(0.0, 1.0)),
+        _maybe("--participation", st.floats(0.0, 1.0)),
+        _maybe("--threshold", st.integers(1, 31)),
+        _flag("--cap", st.integers(0, 6)),
+        # Given last, so it overrides the flag's in-range value above.
+        st.one_of(
+            st.just([]),
+            st.sampled_from(sorted(_WILD)).flatmap(
+                lambda name: _flag(name, _WILD[name])
+            ),
+        ),
+    ),
+    # In range about half the time; below 0 or from 2^64 up otherwise.
+    trial=st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 1),
+        st.integers(),
+        st.integers(min_value=2**64),
+    ),
+)
+def test_any_flag_combination_exits_0_1_or_2(command, flags, trial):
+    """Small runs only: epochs <= 2, validators <= 64, cap <= 6 and one
+    worker; --trial is any int."""
+    argv = [command, *(token for flag in flags for token in flag)]
+    if command == "attack-demo":
+        argv += ["--trial", str(trial)]
+    else:
+        argv += ["--workers", "1"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -9,15 +9,9 @@ from randaolab.field import (
     FIELD_256,
     FieldElement,
     PRIME_256,
-    Polynomial,
     PrimeField,
     SharePoint,
-    fe_add,
-    fe_inv,
-    fe_mul,
-    interpolate_at_zero,
     is_probable_prime,
-    poly_eval,
 )
 
 F17 = PrimeField(17)
@@ -87,16 +81,9 @@ def test_element_range_checked():
     assert F17.element(20).value == 3
 
 
-def test_mixed_field_operations_rejected():
-    with pytest.raises(ValueError):
-        fe_add(F17.element(1), F251.element(1))
-
-
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         F17.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        fe_inv(F17.element(0))
 
 
 def test_interpolation_input_validation():
@@ -114,13 +101,6 @@ def test_interpolation_input_validation():
 def test_share_point_validation():
     with pytest.raises(ValueError):
         SharePoint(0, F17.element(3))
-
-
-def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        Polynomial(())
-    with pytest.raises(ValueError):
-        Polynomial((F17.element(1), F251.element(1)))
 
 
 # -- algebraic laws ------------------------------------------------------
@@ -203,34 +183,6 @@ def test_lagrange_eval_matches_polynomial(coeffs, x, data):
     )
     points = [(xi, F251.eval_at(coeffs, xi)) for xi in xs]
     assert F251.lagrange_eval(points, x) == F251.eval_at(coeffs, x)
-
-
-def test_wrapped_api_matches_int_core():
-    a, b = F17.element(9), F17.element(12)
-    assert fe_add(a, b).value == 4
-    assert fe_mul(a, b).value == (9 * 12) % 17
-    assert (-a).value == 8
-    assert (a - b).value == (9 - 12) % 17
-    poly = Polynomial((F17.element(3), F17.element(2)))
-    assert poly.degree == 1
-    assert poly_eval(poly, F17.element(3)).value == 9
-    pts = [SharePoint(2, F17.element(7)), SharePoint(3, F17.element(9))]
-    assert interpolate_at_zero(pts).value == 3
-
-
-def test_poly_eval_rejects_foreign_point():
-    poly = Polynomial((F17.element(3), F17.element(2)))
-    with pytest.raises(ValueError):
-        poly_eval(poly, F251.element(3))
-
-
-def test_interpolate_at_zero_rejects_mixed_fields():
-    with pytest.raises(ValueError):
-        interpolate_at_zero(
-            [SharePoint(1, F17.element(3)), SharePoint(2, F251.element(3))]
-        )
-    with pytest.raises(ValueError):
-        interpolate_at_zero([])
 
 
 # -- wire form and embedding ---------------------------------------------

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from randaolab import harness
 from randaolab.harness import (
     COLUMNS,
     EmitError,
@@ -247,6 +248,42 @@ def test_serial_and_parallel_reports_identical():
     cfg_s = small(protocol="sss", attacker_stake_fraction=0.3, epochs=6,
                   rng_seed=4)
     assert run_sss(cfg_s) == run_sss(cfg_s, workers=2)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, epochs, expected",
+    [
+        (64, 8, 3, 3),  # epoch count
+        (64, 2, 10, 2),  # cpu count
+        (3, 8, 10, 3),  # as asked
+        (5, None, 10, None),  # cpu count unknown: serial
+        (8, 4, 1, None),  # one epoch: serial
+    ],
+)
+def test_trial_rows_clamp_workers(monkeypatch, workers, cpus, epochs,
+                                  expected):
+    requested = []
+
+    class RecordingPool:
+        """Runs the trials in this process; records the pool size."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = small(epochs=epochs)
+    assert run_classic(cfg, workers=workers) == run_classic(cfg)
+    assert requested == ([] if expected is None else [expected])
 
 
 def test_failure_rate_monotone_in_threshold():

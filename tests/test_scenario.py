@@ -3,6 +3,7 @@ grid expansion for sweeps."""
 
 import pytest
 
+from randaolab.adversary import DEFAULT_STRATEGY_CAP
 from randaolab.randao import MAX_EFFECTIVE_BALANCE
 from randaolab.scenario import (
     MAX_SWEEP_CELLS,
@@ -53,11 +54,17 @@ def test_defaults():
         {"rng_seed": 2**64},
         {"strategy_cap": -1},
         {"tail_limit": -3},
+        {"strategy_cap": 21},
     ],
 )
 def test_validation_rejects(changes):
     with pytest.raises(ConfigError):
         ScenarioConfig(**changes)
+
+
+def test_strategy_cap_upper_bound_is_inclusive():
+    cfg = ScenarioConfig(strategy_cap=DEFAULT_STRATEGY_CAP)
+    assert cfg.strategy_cap == DEFAULT_STRATEGY_CAP == 20
 
 
 def test_threshold_unchecked_for_classic():
