@@ -15,10 +15,6 @@ from typing import Sequence
 # below and independently re-derived in the test suite.
 PRIME_256 = 2**256 + 297
 
-# Fixed-width wire size for one field element.  33 bytes because values of
-# the production field can exceed 2**256 - 1.
-ELEMENT_BYTES = 33
-
 SECRET_BYTES = 32
 
 # Witness set giving a deterministic Miller-Rabin result for all n < 3.3e24;
@@ -166,24 +162,10 @@ class PrimeField:
             acc = (acc + term) % m
         return acc
 
-    # -- wrapped values and wire form -------------------------------------
+    # -- wrapped values and embedding -------------------------------------
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value % self.modulus, self)
-
-    def encode(self, value: int) -> bytes:
-        """Fixed-width big-endian wire form (ELEMENT_BYTES bytes)."""
-        if not 0 <= value < self.modulus:
-            raise ValueError("value out of field range")
-        return value.to_bytes(ELEMENT_BYTES, "big")
-
-    def decode(self, blob: bytes) -> int:
-        if len(blob) != ELEMENT_BYTES:
-            raise ValueError(f"expected {ELEMENT_BYTES} bytes, got {len(blob)}")
-        value = int.from_bytes(blob, "big")
-        if value >= self.modulus:
-            raise ValueError("encoded value out of field range")
-        return value
 
     def embed32(self, secret: bytes) -> int:
         """Injective embedding of a 32-byte string as a field element.
@@ -196,14 +178,6 @@ class PrimeField:
             raise ValueError("field too small to embed 32-byte secrets")
         return int.from_bytes(secret, "big")
 
-    def extract32(self, value: int) -> bytes:
-        """Inverse of embed32; the caller handles out-of-image values."""
-        if not 0 <= value < self.modulus:
-            raise ValueError("value out of field range")
-        if value >= 2**256:
-            raise ValueError("value outside the 32-byte image")
-        return value.to_bytes(SECRET_BYTES, "big")
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -215,9 +189,6 @@ class FieldElement:
     def __post_init__(self) -> None:
         if not 0 <= self.value < self.field.modulus:
             raise ValueError("value out of field range")
-
-    def encode(self) -> bytes:
-        return self.field.encode(self.value)
 
 
 @dataclass(frozen=True)

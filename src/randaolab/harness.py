@@ -26,7 +26,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .adversary import (
     AttackerProfile,
     AttackOutcome,
-    best_strategy,
     grind,
     grind_inputs,
     tail_decision_slots,
@@ -121,7 +120,6 @@ class SssTrialDetail(NamedTuple):
     registry: list[Validator]
     profile: AttackerProfile
     assignment_seed: bytes
-    reveals: list[bytes]
     observed: RevealPhaseState
     flip_slots: list[int]
     outcome: AttackOutcome
@@ -169,8 +167,9 @@ def _common_draws(cfg: ScenarioConfig, index: int):
 
 def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
     """One classic epoch: honest reveals posted, attacker grinds its
-    tail withhold mask.  participation_rate here is the probability an
-    honest proposer shows up at all (absent proposer = no reveal)."""
+    tail withhold mask over the last min(tail_limit, strategy_cap) tail
+    slots.  participation_rate here is the probability an honest
+    proposer shows up at all (absent proposer = no reveal)."""
     _, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
@@ -183,14 +182,16 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
             state.post_reveal(
                 slot, compute_reveal(registry[validator_index], index)
             )
-    outcome = best_strategy(
-        state,
-        profile,
+    limit = cfg.strategy_cap
+    if cfg.tail_limit is not None:
+        limit = min(limit, cfg.tail_limit)
+    decision = tail_decision_slots(state, profile, limit)
+    outcome = grind(
+        *grind_inputs(state.posted, decision),
+        index,
         registry,
-        cap=cfg.strategy_cap,
-        tail_limit=cfg.tail_limit,
+        profile.controlled,
     )
-    decision = tail_decision_slots(state, profile, cfg.tail_limit)
     return ClassicTrialDetail(
         registry, profile, assignment_seed, state, decision, outcome
     )
@@ -272,7 +273,6 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         registry,
         profile,
         assignment_seed,
-        reveals,
         observed,
         flip_slots,
         outcome,

@@ -13,7 +13,6 @@ from hashlib import sha256
 from typing import Optional, Sequence
 
 SLOTS_PER_EPOCH = 32
-SECONDS_PER_SLOT = 12
 MAX_EFFECTIVE_BALANCE = 32 * 10**9
 
 DOMAIN_RANDAO = bytes([2, 0, 0, 0])
@@ -58,22 +57,6 @@ class Validator:
             raise ValueError("secret key must be 32 bytes")
         if not 1 <= self.effective_balance <= MAX_EFFECTIVE_BALANCE:
             raise ValueError("effective balance out of range")
-
-
-@dataclass(frozen=True)
-class Reveal:
-    """A reveal posted for one slot of one epoch."""
-
-    epoch: int
-    slot: int
-    validator_index: int
-    value: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.value) != 32:
-            raise ValueError("reveal must be 32 bytes")
-        if not 0 <= self.slot < SLOTS_PER_EPOCH:
-            raise ValueError("slot out of range")
 
 
 def compute_reveal(validator: Validator, epoch: int) -> bytes:

@@ -165,39 +165,39 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def load_scenario(
-    path: Optional[str] = None, overrides: Optional[dict] = None
+def _scenario(
+    parser: Optional[configparser.ConfigParser],
+    overrides: Optional[dict] = None,
 ) -> ScenarioConfig:
-    """Defaults, then the config file's [scenario] section, then any
+    """Defaults, then the parser's [scenario] section, then any
     overrides (already-typed values, e.g. from CLI flags)."""
     values: dict[str, object] = {}
-    if path is not None:
-        parser = _read_config(path)
-        if parser.has_section("scenario"):
-            for key, raw in parser.items("scenario"):
-                values[key] = _parse_field(key, raw)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in FIELD_PARSERS:
-                raise ConfigError(f"unknown scenario key {key!r}")
-            values[key] = value
+    if parser is not None and parser.has_section("scenario"):
+        for key, raw in parser.items("scenario"):
+            values[key] = _parse_field(key, raw)
+    for key, value in (overrides or {}).items():
+        if key not in FIELD_PARSERS:
+            raise ConfigError(f"unknown scenario key {key!r}")
+        values[key] = value
     try:
         return ScenarioConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
 
+def load_scenario(
+    path: Optional[str] = None, overrides: Optional[dict] = None
+) -> ScenarioConfig:
+    """Defaults, then the config file's [scenario] section, then any
+    overrides (already-typed values, e.g. from CLI flags)."""
+    parser = _read_config(path) if path is not None else None
+    return _scenario(parser, overrides)
+
+
 def load_grid(path: str) -> tuple[ScenarioConfig, list[tuple[str, list]]]:
     """Base scenario plus the sweep axes, in file order."""
     parser = _read_config(path)
-    base_values: dict[str, object] = {}
-    if parser.has_section("scenario"):
-        for key, raw in parser.items("scenario"):
-            base_values[key] = _parse_field(key, raw)
-    try:
-        base = ScenarioConfig(**base_values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    base = _scenario(parser)
 
     axes: list[tuple[str, list]] = []
     if parser.has_section("grid"):

@@ -13,16 +13,12 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .field import (
-    ELEMENT_BYTES,
     FIELD_256,
     SECRET_BYTES,
     FieldElement,
     PrimeField,
     SharePoint,
 )
-
-# Wire form: 1-byte x index followed by the fixed-width element encoding.
-SHARE_WIRE_BYTES = 1 + ELEMENT_BYTES
 
 
 class InsufficientShares(Exception):
@@ -59,22 +55,6 @@ class SssConfig:
             raise ValueError("threshold must be >= 1")
         if self.share_count_m < self.threshold_n:
             raise ValueError("share count must be >= threshold")
-
-
-@dataclass(frozen=True)
-class Secret:
-    """A 32-byte secret together with its field embedding."""
-
-    data: bytes
-    field: PrimeField = FIELD_256
-
-    def __post_init__(self) -> None:
-        if len(self.data) != SECRET_BYTES:
-            raise ValueError(f"secret must be {SECRET_BYTES} bytes")
-
-    @property
-    def value(self) -> int:
-        return self.field.embed32(self.data)
 
 
 def _sample_polynomial(
@@ -116,11 +96,10 @@ def split(
     secret: bytes,
     config: SssConfig,
     entropy: Entropy = SYSTEM_ENTROPY,
-    field: PrimeField = FIELD_256,
 ) -> list[SharePoint]:
     """Split a 32-byte secret into m shares, any n of which recover it."""
     return split_element(
-        field.element(field.embed32(secret)), config, entropy
+        FIELD_256.element(FIELD_256.embed32(secret)), config, entropy
     )
 
 
@@ -182,22 +161,3 @@ def secrecy_probe(
         if field.lagrange_eval(base, p.x) != p.y.value:
             return False
     return True
-
-
-def encode_share(point: SharePoint) -> bytes:
-    """1-byte x index plus fixed-width element encoding."""
-    if not 1 <= point.x <= 255:
-        raise ValueError("share index must fit one byte")
-    return bytes([point.x]) + point.y.encode()
-
-
-def decode_share(blob: bytes, field: PrimeField = FIELD_256) -> SharePoint:
-    if len(blob) != SHARE_WIRE_BYTES:
-        raise ValueError(
-            f"expected {SHARE_WIRE_BYTES} bytes, got {len(blob)}"
-        )
-    x = blob[0]
-    if x == 0:
-        raise ValueError("share index must be >= 1")
-    return SharePoint(x, field.element(field.decode(blob[1:])))
-

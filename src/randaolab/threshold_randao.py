@@ -24,7 +24,7 @@ from .adversary import (
     grind,
     grind_inputs,
 )
-from .field import FIELD_256, PrimeField, SharePoint
+from .field import FIELD_256, SharePoint
 from .randao import (
     SLOTS_PER_EPOCH,
     Validator,
@@ -38,16 +38,11 @@ from .shamir import (
     InsufficientShares,
     SssConfig,
     SYSTEM_ENTROPY,
-    encode_share,
-    decode_share,
     recover,
     split_element,
 )
 
 SHARES_PER_SECRET = 31
-
-# origin_slot (1) + recipient_slot (1) + share wire form (34).
-ENVELOPE_WIRE_BYTES = 36
 
 
 class SecurityCase(enum.Enum):
@@ -121,7 +116,6 @@ def distribute_shares(
     config: SssConfig,
     proposers: Sequence[int],
     entropy: Entropy = SYSTEM_ENTROPY,
-    field: PrimeField = FIELD_256,
 ) -> list[ShareEnvelope]:
     """Split one slot's reveal into 31 envelopes, one per other slot.
 
@@ -138,7 +132,7 @@ def distribute_shares(
     recipients = [s for s in range(SLOTS_PER_EPOCH) if s != slot]
     x_coords = [share_index(slot, r) for r in recipients]
     points = split_element(
-        field.element(field.embed32(reveal)),
+        FIELD_256.element(FIELD_256.embed32(reveal)),
         config,
         entropy,
         x_coords=x_coords,
@@ -457,30 +451,4 @@ def best_flip_strategy(
         state.epoch,
         registry,
         attacker.controlled,
-    )
-
-
-def encode_envelope(envelope: ShareEnvelope) -> bytes:
-    """origin_slot, recipient_slot, then the 34-byte share wire form."""
-    return (
-        bytes([envelope.origin_slot, envelope.recipient_slot])
-        + encode_share(envelope.point)
-    )
-
-
-def decode_envelope(
-    blob: bytes,
-    proposer_by_slot: Sequence[int],
-    field: PrimeField = FIELD_256,
-) -> ShareEnvelope:
-    if len(blob) != ENVELOPE_WIRE_BYTES:
-        raise ValueError(
-            f"expected {ENVELOPE_WIRE_BYTES} bytes, got {len(blob)}"
-        )
-    origin, recipient = blob[0], blob[1]
-    return ShareEnvelope(
-        origin,
-        recipient,
-        decode_share(blob[2:], field),
-        proposer_by_slot[recipient],
     )

@@ -1,7 +1,8 @@
 """The grinding kernel and the one-pass sss trial against the slow
 reveal-phase oracle, field by field, on a small grid that covers the
 three security cases, a flip set cut at the cap, the broken-seed
-fallback, pareto balances and classic runs with a tail_limit."""
+fallback, pareto balances and classic runs with a tail_limit or a tail
+cut at the cap."""
 
 import pytest
 
@@ -49,6 +50,11 @@ GRID = {
     "classic-tail-limit": CLASSIC.replace(
         attacker_stake_fraction=0.7, rng_seed=1, tail_limit=1
     ),
+    # Tails of 2, 5 and 7 slots against a budget of one: cut, as by
+    # tail_limit=1, to the last tail slot.
+    "classic-cap": CLASSIC.replace(
+        attacker_stake_fraction=0.7, rng_seed=1, strategy_cap=1
+    ),
     "classic-pareto-tail-limit": CLASSIC.replace(
         validator_count=60, balance_model="pareto:1.5",
         attacker_stake_fraction=0.6, rng_seed=5, tail_limit=2,
@@ -95,6 +101,7 @@ EXPECTED_ROWS = {
         (23, 15, 2, 2, 32, 24, "", 0, 0, 0.6214699496221436),
     ],
 }
+EXPECTED_ROWS["classic-cap"] = EXPECTED_ROWS["classic-tail-limit"]
 
 
 def _all_trials(protocol):
@@ -123,7 +130,7 @@ def test_classic_mask_payoffs_match_evaluate_strategy():
         assert detail.decision_slots == full[len(full) - width:]
         cut_tails += width < len(full)
         # A mask over the last `width` tail slots is the same mask
-        # shifted past the slots the tail_limit leaves out.
+        # shifted past the slots the tail_limit or the cap leaves out.
         shift = len(full) - width
         oracle = [
             evaluate_strategy(

@@ -1,11 +1,10 @@
 """Field arithmetic: frozen small-modulus vectors, algebraic laws,
-interpolation against exhaustive and dumb oracles, wire form."""
+interpolation against exhaustive and dumb oracles, embedding."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from randaolab.field import (
-    ELEMENT_BYTES,
     FIELD_256,
     FieldElement,
     PRIME_256,
@@ -185,35 +184,10 @@ def test_lagrange_eval_matches_polynomial(coeffs, x, data):
     assert F251.lagrange_eval(points, x) == F251.eval_at(coeffs, x)
 
 
-# -- wire form and embedding ---------------------------------------------
-
-@given(value=st.integers(min_value=0, max_value=PRIME_256 - 1))
-@settings(max_examples=50)
-def test_encode_decode_round_trip(value):
-    blob = FIELD_256.encode(value)
-    assert len(blob) == ELEMENT_BYTES
-    assert FIELD_256.decode(blob) == value
-
-
-def test_decode_rejects_bad_input():
-    with pytest.raises(ValueError):
-        FIELD_256.decode(b"\x00" * 32)
-    with pytest.raises(ValueError):
-        FIELD_256.decode(FIELD_256.modulus.to_bytes(ELEMENT_BYTES, "big"))
-    with pytest.raises(ValueError):
-        FIELD_256.encode(PRIME_256)
-
-
-@given(secret=st.binary(min_size=32, max_size=32))
-@settings(max_examples=50)
-def test_embed_extract_identity(secret):
-    assert FIELD_256.extract32(FIELD_256.embed32(secret)) == secret
-
+# -- embedding ------------------------------------------------------------
 
 def test_embedding_requires_wide_field():
     with pytest.raises(ValueError):
         F251.embed32(b"\x00" * 32)
     with pytest.raises(ValueError):
         FIELD_256.embed32(b"\x00" * 31)
-    with pytest.raises(ValueError):
-        FIELD_256.extract32(2**256)  # representable but outside the image

@@ -15,7 +15,6 @@ from randaolab.randao import (
     ZERO_MIX,
     EpochState,
     ProtocolError,
-    Reveal,
     SelectionError,
     Validator,
     advance_pipeline,
@@ -52,14 +51,6 @@ def test_validator_validation():
         Validator(0, b"\x00" * 32, MAX_EFFECTIVE_BALANCE + 1)
     with pytest.raises(ValueError):
         Validator(-1, b"\x00" * 32, 1)
-
-
-def test_reveal_validation():
-    Reveal(0, 3, 7, b"\x01" * 32)
-    with pytest.raises(ValueError):
-        Reveal(0, 3, 7, b"\x01" * 31)
-    with pytest.raises(ValueError):
-        Reveal(0, 32, 7, b"\x01" * 32)
 
 
 # -- reveals and seeds against the raw hash ------------------------------

@@ -1,5 +1,5 @@
 """Shamir splitting and recovery: frozen vectors over GF(17), round
-trips over the production field, secrecy probing, wire form."""
+trips over the production field, secrecy probing."""
 
 import random
 
@@ -10,11 +10,7 @@ from randaolab.field import FIELD_256, PrimeField, SharePoint
 from randaolab.shamir import (
     CorruptShares,
     InsufficientShares,
-    Secret,
-    SHARE_WIRE_BYTES,
     SssConfig,
-    decode_share,
-    encode_share,
     recover,
     recover_element,
     secrecy_probe,
@@ -79,13 +75,6 @@ def test_corrupt_shares_detected():
     )
     with pytest.raises(CorruptShares):
         recover(shares[:2], cfg)
-
-
-def test_secret_wrapper():
-    s = Secret(b"\x07" * 32)
-    assert s.value == int.from_bytes(b"\x07" * 32, "big")
-    with pytest.raises(ValueError):
-        Secret(b"\x07" * 31)
 
 
 @given(
@@ -202,26 +191,3 @@ def test_secrecy_probe_validation():
         secrecy_probe([shares[0], shares[0]], cfg, 5)
     with pytest.raises(ValueError):
         secrecy_probe(shares[:2], cfg, 251)
-
-
-# -- wire form -----------------------------------------------------------
-
-@given(
-    x=st.integers(min_value=1, max_value=255),
-    value=st.integers(min_value=0, max_value=2**256 + 296),
-)
-@settings(max_examples=50)
-def test_share_codec_round_trip(x, value):
-    point = SharePoint(x, FIELD_256.element(value))
-    blob = encode_share(point)
-    assert len(blob) == SHARE_WIRE_BYTES
-    assert decode_share(blob) == point
-
-
-def test_share_codec_validation():
-    with pytest.raises(ValueError):
-        decode_share(b"\x00" * SHARE_WIRE_BYTES)
-    with pytest.raises(ValueError):
-        decode_share(b"\x01" * 10)
-    with pytest.raises(ValueError):
-        encode_share(SharePoint(300, FIELD_256.element(1)))

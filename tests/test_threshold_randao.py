@@ -21,16 +21,13 @@ from randaolab.randao import (
 )
 from randaolab.shamir import SssConfig, recover, split_element
 from randaolab.threshold_randao import (
-    ENVELOPE_WIRE_BYTES,
     SecurityCase,
     ShareEnvelope,
     adversary_flip_set,
     apply_flip_strategy,
     best_flip_strategy,
     classify_security_case,
-    decode_envelope,
     distribute_shares,
-    encode_envelope,
     evaluate_flip_strategy,
     flip_decision_slots,
     recover_all,
@@ -505,19 +502,3 @@ def test_prevention_theorem_randomized():
         outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
         assert outcome.payoff == outcome.honest_payoff
         assert outcome.chosen == Strategy(0, 0)
-
-
-# -- wire form -----------------------------------------------------------------
-
-def test_envelope_codec_round_trip():
-    cfg = SssConfig(5, 31)
-    envs = full_envelopes(cfg)
-    for e in random.Random(0).sample(envs, 40):
-        blob = encode_envelope(e)
-        assert len(blob) == ENVELOPE_WIRE_BYTES
-        assert decode_envelope(blob, IDENTITY) == e
-
-
-def test_envelope_codec_validation():
-    with pytest.raises(ValueError):
-        decode_envelope(b"\x00" * 10, IDENTITY)
