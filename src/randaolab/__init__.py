@@ -30,13 +30,10 @@ from .randao import (
     ProtocolError,
     SelectionError,
     Validator,
-    advance_pipeline,
     compute_reveal,
     derive_seed,
-    genesis_seed,
     mix_reveals,
     select_proposers,
-    xor32,
 )
 from .adversary import (
     AttackerProfile,
@@ -107,7 +104,6 @@ __all__ = [
     "Strategy",
     "StrategyCapExceeded",
     "Validator",
-    "advance_pipeline",
     "adversary_flip_set",
     "apply_flip_strategy",
     "best_flip_strategy",
@@ -120,7 +116,6 @@ __all__ = [
     "enumerate_strategies",
     "evaluate_flip_strategy",
     "evaluate_strategy",
-    "genesis_seed",
     "load_grid",
     "load_scenario",
     "mix_reveals",
@@ -136,5 +131,4 @@ __all__ = [
     "split",
     "sweep",
     "tail_decision_slots",
-    "xor32",
 ]

@@ -13,6 +13,7 @@ from .randao import (
     EpochState,
     Validator,
     derive_seed,
+    mix_reveals,
     select_proposers,
 )
 
@@ -170,10 +171,7 @@ def grind_inputs(
 ) -> tuple[int, list[int]]:
     """The XOR of every present reveal, and the reveals of `slots`: the
     base mix and the toggles of mask_payoffs."""
-    base_mix = 0
-    for reveal in reveals:
-        if reveal is not None:
-            base_mix ^= int.from_bytes(reveal, "big")
+    base_mix = int.from_bytes(mix_reveals(reveals), "big")
     for slot in slots:
         if reveals[slot] is None:
             raise ValueError(f"decision slot {slot} has no reveal to toggle")

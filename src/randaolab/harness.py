@@ -40,7 +40,13 @@ from .randao import (
     mix_reveals,
     select_proposers,
 )
-from .scenario import ConfigError, ScenarioConfig, parse_balance_model
+from .scenario import (
+    SCENARIO_FIELDS,
+    ConfigError,
+    ScenarioConfig,
+    grid_cells,
+    parse_balance_model,
+)
 from .shamir import SssConfig
 from .threshold_randao import (
     RecoveryOutcome,
@@ -423,24 +429,8 @@ def sweep(
     workers: int = 1,
 ) -> list[MetricsReport]:
     """One report per grid cell, row-major (later axes vary fastest)."""
-    from .scenario import grid_cells
-
     return [run_scenario(cell, workers) for cell in grid_cells(base, axes)]
 
-
-SCENARIO_COLUMNS = (
-    "validator_count",
-    "balance_model",
-    "attacker_stake_fraction",
-    "protocol",
-    "sss_threshold_n",
-    "participation_rate",
-    "epochs",
-    "rng_seed",
-    "strategy_cap",
-    "tail_limit",
-    "broken_seed_fallback",
-)
 
 METRIC_COLUMNS = (
     "mean_attacker_slots",
@@ -458,13 +448,13 @@ METRIC_COLUMNS = (
     "achieved_stake_fraction",
 )
 
-COLUMNS = SCENARIO_COLUMNS + METRIC_COLUMNS
+COLUMNS = SCENARIO_FIELDS + METRIC_COLUMNS
 
 
 def report_row(report: MetricsReport) -> dict[str, object]:
     """Flat row, scenario parameters first, stable column order."""
     row: dict[str, object] = {}
-    for name in SCENARIO_COLUMNS:
+    for name in SCENARIO_FIELDS:
         row[name] = getattr(report.scenario, name)
     for name in METRIC_COLUMNS:
         row[name] = getattr(report, name)

@@ -1,5 +1,5 @@
 """Commit-free randomness beacon: per-slot reveals, XOR accumulator,
-seed derivation, balance-weighted proposer selection, epoch pipeline.
+seed derivation, balance-weighted proposer selection, epoch ledger.
 
 Reveals are modelled as sha256(secret_key || epoch || domain) rather
 than BLS signatures; everything downstream only needs a deterministic,
@@ -18,15 +18,13 @@ MAX_EFFECTIVE_BALANCE = 32 * 10**9
 DOMAIN_RANDAO = bytes([2, 0, 0, 0])
 DOMAIN_BEACON_PROPOSER = bytes([0, 0, 0, 0])
 
-ZERO_MIX = b"\x00" * 32
-
 # Acceptance-sampling retry budget per slot; exceeding it means the
 # registry is broken (e.g. all balances zero), not bad luck.
 _SELECTION_TRY_LIMIT = 10_000
 
 
 class ProtocolError(RuntimeError):
-    """State machine misuse: missing seeds, out-of-order epochs."""
+    """Ledger misuse: a slot posting twice."""
 
 
 class SelectionError(RuntimeError):
@@ -36,12 +34,6 @@ class SelectionError(RuntimeError):
 
 def _le64(n: int) -> bytes:
     return n.to_bytes(8, "little")
-
-
-def xor32(a: bytes, b: bytes) -> bytes:
-    if len(a) != 32 or len(b) != 32:
-        raise ValueError("xor32 operands must be 32 bytes")
-    return bytes(x ^ y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -71,11 +63,13 @@ def compute_reveal(validator: Validator, epoch: int) -> bytes:
 def mix_reveals(posted: Sequence[Optional[bytes]]) -> bytes:
     """XOR-fold the posted reveals; missing entries contribute nothing
     (equivalently, they enter as 32 zero bytes)."""
-    acc = ZERO_MIX
+    acc = 0
     for r in posted:
         if r is not None:
-            acc = xor32(acc, r)
-    return acc
+            if len(r) != 32:
+                raise ValueError("reveals must be 32 bytes")
+            acc ^= int.from_bytes(r, "big")
+    return acc.to_bytes(32, "big")
 
 
 def derive_seed(mix: bytes, epoch: int) -> bytes:
@@ -85,11 +79,6 @@ def derive_seed(mix: bytes, epoch: int) -> bytes:
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
     return sha256(DOMAIN_BEACON_PROPOSER + _le64(epoch) + mix).digest()
-
-
-def genesis_seed(epoch: int) -> bytes:
-    """Bootstrap seed for epochs that predate any finalized mix."""
-    return derive_seed(ZERO_MIX, epoch)
 
 
 def select_proposers(
@@ -123,16 +112,13 @@ def select_proposers(
 
 @dataclass
 class EpochState:
-    """Per-epoch ledger: proposer schedule, posted reveals, running mix,
-    and (once finalized) the seed this epoch contributes to epoch+2."""
+    """Per-epoch ledger: proposer schedule and posted reveals."""
 
     epoch: int
     proposer_by_slot: tuple[int, ...]
     posted: list[Optional[bytes]] = dataclass_field(
         default_factory=lambda: [None] * SLOTS_PER_EPOCH
     )
-    mix: bytes = ZERO_MIX
-    seed: Optional[bytes] = None
 
     def __post_init__(self) -> None:
         if self.epoch < 0:
@@ -145,9 +131,14 @@ class EpochState:
         if len(self.posted) != SLOTS_PER_EPOCH:
             raise ValueError("posted must have one entry per slot")
 
+    @property
+    def mix(self) -> bytes:
+        """XOR of the posted reveals."""
+        return mix_reveals(self.posted)
+
     def post_reveal(self, slot: int, value: bytes) -> None:
-        """Record a reveal and fold it into the mix.  A slot can post at
-        most once; withholding is modelled by never posting."""
+        """Record a reveal.  A slot can post at most once; withholding
+        is modelled by never posting."""
         if not 0 <= slot < SLOTS_PER_EPOCH:
             raise ValueError("slot out of range")
         if len(value) != 32:
@@ -155,35 +146,3 @@ class EpochState:
         if self.posted[slot] is not None:
             raise ProtocolError(f"slot {slot} already posted")
         self.posted[slot] = value
-        self.mix = xor32(self.mix, value)
-
-    def finalize(self) -> bytes:
-        """Close the epoch: derive and store the seed from the mix."""
-        self.seed = derive_seed(self.mix, self.epoch)
-        return self.seed
-
-
-def advance_pipeline(
-    chain: Sequence[EpochState], registry: Sequence[Validator]
-) -> EpochState:
-    """Open the next epoch with proposers drawn two epochs back.
-
-    Epochs 0 and 1 bootstrap from genesis seeds; epoch j+2 uses the
-    finalized seed of epoch j, so reveals land two epochs before the
-    schedule they influence.
-    """
-    for i, state in enumerate(chain):
-        if state.epoch != i:
-            raise ProtocolError("chain epochs must be consecutive from 0")
-    next_epoch = len(chain)
-    if next_epoch < 2:
-        seed = genesis_seed(next_epoch)
-    else:
-        source = chain[next_epoch - 2]
-        if source.seed is None:
-            raise ProtocolError(
-                f"epoch {source.epoch} not finalized; cannot seed epoch "
-                f"{next_epoch}"
-            )
-        seed = source.seed
-    return EpochState(next_epoch, select_proposers(seed, registry))

@@ -23,7 +23,11 @@ class ConfigError(ValueError):
 
 
 PROTOCOLS = ("classic", "sss")
-FORMATS = ("csv", "json")
+
+# Registry size bound, about the active validator set of a large
+# proof-of-stake chain.  Every trial builds its own registry, so this
+# bounds each trial's set-up work.
+MAX_VALIDATORS = 2**20
 
 # Grids beyond this are almost certainly a typo'd range.
 MAX_SWEEP_CELLS = 4096
@@ -78,8 +82,10 @@ class ScenarioConfig:
     broken_seed_fallback: bool = False
 
     def __post_init__(self) -> None:
-        if self.validator_count < 1:
-            raise ConfigError("validator_count must be >= 1")
+        if not 1 <= self.validator_count <= MAX_VALIDATORS:
+            raise ConfigError(
+                f"validator_count must be in [1, {MAX_VALIDATORS}]"
+            )
         model, arg = parse_balance_model(self.balance_model)
         if model == "explicit" and len(arg) != self.validator_count:
             raise ConfigError(
@@ -110,7 +116,6 @@ class ScenarioConfig:
         return dataclasses.replace(self, **changes)
 
 
-# Scenario columns in emission order; parsers double as CLI/file readers.
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -124,6 +129,8 @@ def _parse_tail_limit(s: str) -> Optional[int]:
     return None if s.strip().lower() == "none" else int(s)
 
 
+# Scenario fields in report column order; parsers double as CLI/file
+# readers.
 FIELD_PARSERS = {
     "validator_count": int,
     "balance_model": str,

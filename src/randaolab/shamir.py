@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol
 
 from .field import (
     FIELD_256,
@@ -70,25 +70,15 @@ def split_element(
     value: FieldElement,
     config: SssConfig,
     entropy: Entropy = SYSTEM_ENTROPY,
-    x_coords: Sequence[int] | None = None,
 ) -> list[SharePoint]:
-    """Share an arbitrary field element at x = 1..m (or given x coords)."""
+    """Share an arbitrary field element at x = 1..m."""
     field = value.field
-    if x_coords is None:
-        x_coords = range(1, config.share_count_m + 1)
-    else:
-        if len(x_coords) != config.share_count_m:
-            raise ValueError("need exactly m x coordinates")
-        if len(set(x % field.modulus for x in x_coords)) != len(x_coords):
-            raise ValueError("x coordinates must be distinct mod p")
-        if any(x % field.modulus == 0 for x in x_coords):
-            raise ValueError("x coordinates must be nonzero mod p")
     coeffs = _sample_polynomial(
         value.value, config.threshold_n - 1, field, entropy
     )
     return [
         SharePoint(x, field.element(field.eval_at(coeffs, x)))
-        for x in x_coords
+        for x in range(1, config.share_count_m + 1)
     ]
 
 

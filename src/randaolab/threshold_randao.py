@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .adversary import (
     DEFAULT_STRATEGY_CAP,
@@ -129,13 +129,11 @@ def distribute_shares(
         )
     if len(proposers) != SLOTS_PER_EPOCH:
         raise ValueError("need one proposer per slot")
+    # share_index maps the recipients, in ascending order, onto the
+    # x = 1..31 that split_element shares at.
     recipients = [s for s in range(SLOTS_PER_EPOCH) if s != slot]
-    x_coords = [share_index(slot, r) for r in recipients]
     points = split_element(
-        FIELD_256.element(FIELD_256.embed32(reveal)),
-        config,
-        entropy,
-        x_coords=x_coords,
+        FIELD_256.element(FIELD_256.embed32(reveal)), config, entropy
     )
     return [
         ShareEnvelope(slot, r, p, proposers[r])
@@ -168,10 +166,6 @@ def run_reveal_phase(
     adversarial = frozenset(adversary_participants)
     if honest & adversarial:
         raise ValueError("a validator cannot be both honest and adversarial")
-
-    held_by = {}
-    for e in envs:
-        held_by.setdefault(e.sealed_to, []).append(e)
 
     participants = honest | adversarial
     distributed = frozenset(e.origin_slot for e in envs)
@@ -264,23 +258,36 @@ def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
     return SecurityCase.COLLUSION
 
 
-def _held_by_adversary(
-    state: RevealPhaseState, attacker: AttackerProfile
-) -> dict[int, list[ShareEnvelope]]:
+class _OriginTable(NamedTuple):
+    """Per-origin view of the honest-only reveal phase."""
+
+    honest: dict[int, list[SharePoint]]  # broadcast points
+    held: dict[int, list[ShareEnvelope]]  # adversary-held, ascending x
+    flip: list[int]  # ascending flip set
+
+
+def _origin_table(
+    state: RevealPhaseState,
+    attacker: AttackerProfile,
+    config: SssConfig,
+) -> _OriginTable:
+    honest: dict[int, list[SharePoint]] = {}
+    for origin, point, revealer in state.broadcast:
+        if revealer not in state.participants:
+            raise ValueError("broadcast from a non-participant")
+        honest.setdefault(origin, []).append(point)
     held: dict[int, list[ShareEnvelope]] = {}
     for e in state.envelopes:
         if e.sealed_to in attacker.controlled:
             held.setdefault(e.origin_slot, []).append(e)
-    return held
-
-
-def _honest_counts(state: RevealPhaseState) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for origin, _, revealer in state.broadcast:
-        if revealer not in state.participants:
-            raise ValueError("broadcast from a non-participant")
-        counts[origin] = counts.get(origin, 0) + 1
-    return counts
+    n = config.threshold_n
+    flip = []
+    for origin in sorted(held):
+        held[origin].sort(key=lambda e: e.point.x)
+        have = len(honest.get(origin, ()))
+        if have < n <= have + len(held[origin]):
+            flip.append(origin)
+    return _OriginTable(honest, held, flip)
 
 
 def adversary_flip_set(
@@ -294,31 +301,7 @@ def adversary_flip_set(
     The state must be the honest-only view (before any adversary
     release), i.e. what a rushing adversary observes.
     """
-    held = _held_by_adversary(state, attacker)
-    honest = _honest_counts(state)
-    n = config.threshold_n
-    flippable = set()
-    for origin in frozenset(e.origin_slot for e in state.envelopes):
-        have = honest.get(origin, 0)
-        if have < n <= have + len(held.get(origin, [])):
-            flippable.add(origin)
-    return flippable
-
-
-def flip_decision_slots(
-    state: RevealPhaseState,
-    attacker: AttackerProfile,
-    config: SssConfig,
-    max_flips: Optional[int] = None,
-) -> list[int]:
-    """Ordered flip set; max_flips keeps only the lowest slots (a
-    bounded grinding budget, used when the full set is too large)."""
-    slots = sorted(adversary_flip_set(state, attacker, config))
-    if max_flips is not None:
-        if max_flips < 0:
-            raise ValueError("max_flips must be >= 0")
-        slots = slots[:max_flips]
-    return slots
+    return set(_origin_table(state, attacker, config).flip)
 
 
 def _release_plan(
@@ -336,16 +319,13 @@ def _release_plan(
     with the adversary's lowest-x held shares.  Mask 0 therefore
     reproduces honest behavior exactly.
     """
-    held = _held_by_adversary(state, attacker)
-    honest = _honest_counts(state)
+    table = _origin_table(state, attacker, config)
     withheld = set(strategy.withheld(flip_slots))
     released = []
-    for origin in sorted(adversary_flip_set(state, attacker, config)):
-        if origin in withheld:
-            continue
-        need = config.threshold_n - honest.get(origin, 0)
-        contributions = sorted(held.get(origin, []), key=lambda e: e.point.x)
-        released.extend(contributions[:need])
+    for origin in table.flip:
+        if origin not in withheld:
+            need = config.threshold_n - len(table.honest.get(origin, ()))
+            released.extend(table.held[origin][:need])
     return released
 
 
@@ -359,7 +339,7 @@ def apply_flip_strategy(
     """Re-run the reveal phase with the adversary playing `strategy`
     over `flip_slots` (default: the full ordered flip set)."""
     if flip_slots is None:
-        flip_slots = flip_decision_slots(state, attacker, config)
+        flip_slots = _origin_table(state, attacker, config).flip
     honest = state.participants - attacker.controlled
     return run_reveal_phase(
         state.envelopes,
@@ -409,20 +389,16 @@ def flip_reveals(
     """
     if max_flips is not None and max_flips < 0:
         raise ValueError("max_flips must be >= 0")
-    flippable = adversary_flip_set(state, attacker, config)
-    held = _held_by_adversary(state, attacker)
-    by_origin: dict[int, list[SharePoint]] = {}
-    for origin, point, _ in state.broadcast:
-        by_origin.setdefault(origin, []).append(point)
+    table = _origin_table(state, attacker, config)
     n = config.threshold_n
     reveals: list[Optional[bytes]] = []
     for slot in range(SLOTS_PER_EPOCH):
-        points = by_origin.get(slot, [])
-        if slot in flippable:
-            top_up = sorted(held[slot], key=lambda e: e.point.x)
-            points = points + [e.point for e in top_up[: n - len(points)]]
+        points = table.honest.get(slot, [])
+        if slot in table.flip:
+            top_up = table.held[slot][: n - len(points)]
+            points = points + [e.point for e in top_up]
         reveals.append(recover(points, config) if len(points) >= n else None)
-    return reveals, sorted(flippable)[:max_flips]
+    return reveals, table.flip[:max_flips]
 
 
 def best_flip_strategy(

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from randaolab.cli import main
 from randaolab.harness import COLUMNS
+from randaolab.scenario import MAX_VALIDATORS
 
 BASE = ["--validators", "40", "--stake", "0.3", "--epochs", "3",
         "--seed", "1"]
@@ -79,6 +80,13 @@ def test_simulate_missing_config_exits_2(capsys):
 
 def test_simulate_bad_scenario_value_exits_2(capsys):
     code, _, err = run_main(["simulate", "--epochs", "0"], capsys)
+    assert code == 2
+    assert "config error:" in err
+
+
+@pytest.mark.parametrize("count", [MAX_VALIDATORS + 1, 10**12])
+def test_simulate_validators_above_cap_exits_2(count, capsys):
+    code, _, err = run_main(["simulate", "--validators", str(count)], capsys)
     assert code == 2
     assert "config error:" in err
 

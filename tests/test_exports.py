@@ -5,6 +5,7 @@ import importlib
 import inspect
 
 import randaolab
+from randaolab.shamir import split_element
 
 MODULES = (
     "adversary",
@@ -17,14 +18,19 @@ MODULES = (
     "threshold_randao",
 )
 
-# Wire codecs and wrapper types that no caller used.
+# Wire codecs, wrapper types, the unused epoch pipeline, second XOR
+# folds and restated name lists that no caller needed.
 REMOVED = (
     "ELEMENT_BYTES",
     "ENVELOPE_WIRE_BYTES",
+    "FORMATS",
     "Reveal",
+    "SCENARIO_COLUMNS",
     "SECONDS_PER_SLOT",
     "SHARE_WIRE_BYTES",
     "Secret",
+    "ZERO_MIX",
+    "advance_pipeline",
     "decode",
     "decode_envelope",
     "decode_share",
@@ -32,6 +38,10 @@ REMOVED = (
     "encode_envelope",
     "encode_share",
     "extract32",
+    "finalize",
+    "flip_decision_slots",
+    "genesis_seed",
+    "xor32",
 )
 
 
@@ -49,6 +59,7 @@ def test_removed_names_stay_removed():
         importlib.import_module(f"randaolab.{m}") for m in MODULES
     ]
     owners += [randaolab.PrimeField, randaolab.FieldElement]
+    owners += [randaolab.EpochState]
     present = [
         (getattr(owner, "__name__", owner), name)
         for owner in owners
@@ -61,3 +72,7 @@ def test_removed_names_stay_removed():
 def test_sharing_takes_the_production_field_only():
     for fn in (randaolab.split, randaolab.distribute_shares):
         assert "field" not in inspect.signature(fn).parameters
+
+
+def test_split_element_takes_no_x_coords():
+    assert "x_coords" not in inspect.signature(split_element).parameters

@@ -1,5 +1,5 @@
 """Beacon core: reveals and seeds against raw-hash oracles, mix
-algebra, proposer selection, pipeline bootstrap and progression."""
+algebra, proposer selection, and the epoch ledger."""
 
 import random
 from hashlib import sha256
@@ -12,24 +12,24 @@ from randaolab.randao import (
     DOMAIN_RANDAO,
     MAX_EFFECTIVE_BALANCE,
     SLOTS_PER_EPOCH,
-    ZERO_MIX,
     EpochState,
     ProtocolError,
     SelectionError,
     Validator,
-    advance_pipeline,
     compute_reveal,
     derive_seed,
-    genesis_seed,
     mix_reveals,
     select_proposers,
-    xor32,
 )
 
 
 def make_validator(index, seed=0, balance=MAX_EFFECTIVE_BALANCE):
     key = sha256(b"key" + bytes([index % 256]) + seed.to_bytes(4, "big"))
     return Validator(index, key.digest(), balance)
+
+
+def xor_bytes(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 def make_registry(count, balance=MAX_EFFECTIVE_BALANCE):
@@ -80,7 +80,6 @@ def test_derive_seed_matches_hash_oracle():
         b"\x00\x00\x00\x00" + epoch.to_bytes(8, "little") + mix
     ).digest()
     assert derive_seed(mix, epoch) == expected
-    assert genesis_seed(epoch) == derive_seed(ZERO_MIX, epoch)
 
 
 def test_derive_seed_sensitivity():
@@ -98,7 +97,7 @@ def test_derive_seed_sensitivity():
 # -- mix algebra ----------------------------------------------------------
 
 def test_mix_empty_and_identity():
-    assert mix_reveals([None] * 32) == ZERO_MIX
+    assert mix_reveals([None] * 32) == b"\x00" * 32
     r = sha256(b"r").digest()
     posted = [None] * 32
     posted[13] = r
@@ -107,13 +106,14 @@ def test_mix_empty_and_identity():
 
 def test_mix_two_known_reveals():
     a, b = sha256(b"a").digest(), sha256(b"b").digest()
-    expected = bytes(x ^ y for x, y in zip(a, b))
-    assert mix_reveals([a, b]) == expected
+    assert mix_reveals([a, b]) == xor_bytes(a, b)
 
 
-def test_xor32_validation():
+def test_mix_reveals_rejects_wrong_length():
     with pytest.raises(ValueError):
-        xor32(b"\x00" * 31, b"\x00" * 32)
+        mix_reveals([b"\x00" * 31])
+    with pytest.raises(ValueError):
+        mix_reveals([None, b"\x00" * 32, b"\x00" * 33])
 
 
 @given(data=st.data())
@@ -134,7 +134,7 @@ def test_mix_order_independent_and_withhold_delta(data):
         k = rng.choice(present)
         without = posted[:]
         without[k] = None
-        assert mix_reveals(without) == xor32(full, posted[k])
+        assert mix_reveals(without) == xor_bytes(full, posted[k])
 
 
 # -- proposer selection ----------------------------------------------------
@@ -205,7 +205,7 @@ def test_epoch_state_mix_invariant_and_single_post():
     r1, r2 = sha256(b"1").digest(), sha256(b"2").digest()
     state.post_reveal(4, r1)
     state.post_reveal(9, r2)
-    assert state.mix == mix_reveals(state.posted)
+    assert state.mix == xor_bytes(r1, r2)
     with pytest.raises(ProtocolError):
         state.post_reveal(4, r1)
     with pytest.raises(ValueError):
@@ -221,47 +221,7 @@ def test_epoch_state_validation():
         EpochState(-1, (0,) * 32)
 
 
-def test_finalize_sets_seed():
-    state = EpochState(3, (0,) * 32)
-    state.post_reveal(0, sha256(b"z").digest())
-    seed = state.finalize()
-    assert seed == derive_seed(state.mix, 3)
-    assert state.seed == seed
-
-
-# -- pipeline ---------------------------------------------------------------
-
-def test_pipeline_bootstrap_and_two_epoch_offset():
-    registry = make_registry(9)
-    chain = []
-    e0 = advance_pipeline(chain, registry)
-    assert e0.epoch == 0
-    assert e0.proposer_by_slot == select_proposers(genesis_seed(0), registry)
-    chain.append(e0)
-    e1 = advance_pipeline(chain, registry)
-    assert e1.proposer_by_slot == select_proposers(genesis_seed(1), registry)
-    chain.append(e1)
-    # Epoch 2 needs epoch 0 finalized.
-    with pytest.raises(ProtocolError):
-        advance_pipeline(chain, registry)
-    for slot in range(SLOTS_PER_EPOCH):
-        e0.post_reveal(
-            slot, compute_reveal(registry[e0.proposer_by_slot[slot]], 0)
-        )
-    e0.finalize()
-    e2 = advance_pipeline(chain, registry)
-    assert e2.epoch == 2
-    assert e2.proposer_by_slot == select_proposers(e0.seed, registry)
-
-
-def test_pipeline_rejects_gapped_chain():
-    registry = make_registry(4)
-    e0 = advance_pipeline([], registry)
-    e0.finalize()
-    bad = EpochState(5, e0.proposer_by_slot)
-    with pytest.raises(ProtocolError):
-        advance_pipeline([e0, bad], registry)
-
+# -- mix to epoch+2 schedule ------------------------------------------------
 
 def test_pipeline_mix_change_changes_proposers():
     # Over random reveal sets, flipping the epoch-0 mix reshuffles the
@@ -271,35 +231,12 @@ def test_pipeline_mix_change_changes_proposers():
     trials = 25
     for i in range(trials):
         rng = random.Random(i)
-        e0 = advance_pipeline([], registry)
+        e0 = EpochState(0, (0,) * 32)
         for slot in range(SLOTS_PER_EPOCH):
             e0.post_reveal(slot, rng.randbytes(32))
-        e0.finalize()
-        baseline = select_proposers(e0.seed, registry)
-        flipped_mix = xor32(e0.mix, b"\x01" + b"\x00" * 31)
+        baseline = select_proposers(derive_seed(e0.mix, 0), registry)
+        flipped_mix = xor_bytes(e0.mix, b"\x01" + b"\x00" * 31)
         flipped = select_proposers(derive_seed(flipped_mix, 0), registry)
         if flipped != baseline:
             changed += 1
     assert changed == trials
-
-
-def test_end_to_end_determinism():
-    registry = make_registry(12)
-    outcomes = []
-    for _ in range(2):
-        chain = []
-        for epoch in range(4):
-            state = advance_pipeline(chain, registry)
-            for slot in range(SLOTS_PER_EPOCH):
-                if (slot + epoch) % 5 == 0:
-                    continue  # absent proposer
-                state.post_reveal(
-                    slot,
-                    compute_reveal(
-                        registry[state.proposer_by_slot[slot]], epoch
-                    ),
-                )
-            state.finalize()
-            chain.append(state)
-        outcomes.append([e.proposer_by_slot for e in chain])
-    assert outcomes[0] == outcomes[1]

@@ -7,6 +7,7 @@ from randaolab.adversary import DEFAULT_STRATEGY_CAP
 from randaolab.randao import MAX_EFFECTIVE_BALANCE
 from randaolab.scenario import (
     MAX_SWEEP_CELLS,
+    MAX_VALIDATORS,
     ConfigError,
     ScenarioConfig,
     grid_cells,
@@ -35,6 +36,7 @@ def test_defaults():
     "changes",
     [
         {"validator_count": 0},
+        {"validator_count": MAX_VALIDATORS + 1},
         {"balance_model": "zipf"},
         {"balance_model": "pareto:abc"},
         {"balance_model": "pareto:-1"},
@@ -65,6 +67,12 @@ def test_validation_rejects(changes):
 def test_strategy_cap_upper_bound_is_inclusive():
     cfg = ScenarioConfig(strategy_cap=DEFAULT_STRATEGY_CAP)
     assert cfg.strategy_cap == DEFAULT_STRATEGY_CAP == 20
+
+
+def test_validator_count_upper_bound_is_inclusive():
+    # Validation only; no registry of this size is built.
+    cfg = ScenarioConfig(validator_count=MAX_VALIDATORS)
+    assert cfg.validator_count == MAX_VALIDATORS == 2**20
 
 
 def test_threshold_unchecked_for_classic():

@@ -115,25 +115,6 @@ def test_tampered_share_changes_recovery():
     assert result.value != FIELD_256.embed32(secret)
 
 
-def test_split_element_custom_x_coordinates():
-    cfg = SssConfig(2, 3)
-    shares = split_element(
-        F17.element(3), cfg, FixedEntropy([2]), x_coords=[5, 9, 11]
-    )
-    assert [p.x for p in shares] == [5, 9, 11]
-    assert recover_element(shares[:2], cfg).value == 3
-    with pytest.raises(ValueError):
-        split_element(F17.element(3), cfg, FixedEntropy([2]), x_coords=[5, 9])
-    with pytest.raises(ValueError):
-        split_element(
-            F17.element(3), cfg, FixedEntropy([2]), x_coords=[5, 9, 22]
-        )
-    with pytest.raises(ValueError):
-        split_element(
-            F17.element(3), cfg, FixedEntropy([2]), x_coords=[17, 9, 11]
-        )
-
-
 # -- secrecy -------------------------------------------------------------
 
 def test_secrecy_probe_below_threshold_accepts_everything():

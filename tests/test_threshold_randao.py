@@ -8,7 +8,7 @@ from hashlib import sha256
 import pytest
 
 from randaolab.adversary import AttackerProfile, Strategy, StrategyCapExceeded
-from randaolab.field import FIELD_256
+from randaolab.field import FIELD_256, SharePoint
 from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
     SLOTS_PER_EPOCH,
@@ -29,7 +29,7 @@ from randaolab.threshold_randao import (
     classify_security_case,
     distribute_shares,
     evaluate_flip_strategy,
-    flip_decision_slots,
+    flip_reveals,
     recover_all,
     run_reveal_phase,
     share_index,
@@ -141,10 +141,7 @@ def test_duplicate_proposer_receives_distinct_indices():
 
 def test_envelope_x_consistency_enforced():
     cfg = SssConfig(2, 31)
-    point = split_element(
-        FIELD_256.element(5), SssConfig(2, 2), random.Random(0),
-        x_coords=[7, 9],
-    )[0]
+    point = SharePoint(7, FIELD_256.element(5))
     with pytest.raises(ValueError):
         ShareEnvelope(origin_slot=1, recipient_slot=2, point=point,
                       sealed_to=0)
@@ -275,10 +272,8 @@ def test_corrupt_origin_downgraded_to_unrecoverable():
     # Origin 0 "commits" a value outside the 32-byte image; its shares
     # are mutually consistent yet cannot decode to a reveal.
     recipients = [s for s in range(32) if s != 0]
-    xs = [share_index(0, r) for r in recipients]
     points = split_element(
-        FIELD_256.element(2**256 + 5), SssConfig(2, 31), random.Random(8),
-        x_coords=xs,
+        FIELD_256.element(2**256 + 5), SssConfig(2, 31), random.Random(8)
     )
     envs += [
         ShareEnvelope(0, r, p, r) for r, p in zip(recipients, points)
@@ -364,12 +359,12 @@ def test_flip_decision_slots_order_and_budget():
     cfg = SssConfig(n, 31)
     state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
-    assert flip_decision_slots(state, profile, cfg) == list(range(3, 31))
-    assert flip_decision_slots(state, profile, cfg, max_flips=5) == [
+    assert flip_reveals(state, profile, cfg)[1] == list(range(3, 31))
+    assert flip_reveals(state, profile, cfg, max_flips=5)[1] == [
         3, 4, 5, 6, 7,
     ]
     with pytest.raises(ValueError):
-        flip_decision_slots(state, profile, cfg, max_flips=-1)
+        flip_reveals(state, profile, cfg, max_flips=-1)
 
 
 def test_best_flip_empty_set_is_exactly_honest():
@@ -395,7 +390,7 @@ def test_best_flip_matches_bruteforce_oracle():
     profile = attacker_profile(controlled)
     honest = {3, 4, 5, 6}
     state = phase(envs, honest, adversary=controlled)
-    flips = flip_decision_slots(state, profile, cfg)
+    flips = sorted(adversary_flip_set(state, profile, cfg))
     assert flips == [3, 4, 5, 6]
     width = len(flips)
 
@@ -452,7 +447,7 @@ def test_apply_flip_strategy_realizes_chosen_mask():
     controlled = {29, 30, 31}
     profile = attacker_profile(controlled)
     state = phase(envs, {3, 4, 5, 6}, adversary=controlled)
-    flips = flip_decision_slots(state, profile, cfg)
+    flips = sorted(adversary_flip_set(state, profile, cfg))
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
     final = apply_flip_strategy(state, profile, cfg, outcome.chosen, flips)
     recovery = recover_all(final, cfg)
