@@ -397,7 +397,11 @@ def flip_reveals(
         if slot in table.flip:
             top_up = table.held[slot][: n - len(points)]
             points = points + [e.point for e in top_up]
-        reveals.append(recover(points, config) if len(points) >= n else None)
+        try:
+            reveal = recover(points, config) if len(points) >= n else None
+        except CorruptShares:  # absent, as in recover_all
+            reveal = None
+        reveals.append(reveal)
     return reveals, table.flip[:max_flips]
 
 

@@ -4,6 +4,7 @@ interpolation against exhaustive and dumb oracles, embedding."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randaolab import field as field_module
 from randaolab.field import (
     FIELD_256,
     FieldElement,
@@ -182,6 +183,94 @@ def test_lagrange_eval_matches_polynomial(coeffs, x, data):
     )
     points = [(xi, F251.eval_at(coeffs, xi)) for xi in xs]
     assert F251.lagrange_eval(points, x) == F251.eval_at(coeffs, x)
+
+
+# -- fast kernels against per-call oracles -------------------------------
+#
+# interpolate_at_zero reads its Lagrange basis from a per-(field, x-set)
+# cache and eval_at reduces once per Horner pass; lagrange_eval and a
+# per-step-mod Horner are the oracles.
+
+FIELDS = st.sampled_from([F17, F251, FIELD_256])
+
+
+@st.composite
+def point_sets(draw):
+    """(field, points): nonzero x distinct after reduction, written as any
+    representative (x >= m or negative); y anywhere, not just [0, m)."""
+    f = draw(FIELDS)
+    m = f.modulus
+    residues = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=m - 1),
+            min_size=1,
+            max_size=min(8, m - 1),
+            unique=True,
+        )
+    )
+    xs = [r + m * draw(st.integers(-2, 2)) for r in residues]
+    ys = draw(st.lists(st.integers(-3 * m, 3 * m), min_size=len(xs),
+                       max_size=len(xs)))
+    return f, list(zip(xs, ys))
+
+
+@given(case=point_sets())
+@settings(max_examples=200)
+def test_interpolate_at_zero_matches_lagrange_eval(case):
+    f, points = case
+    assert f.interpolate_at_zero(points) == f.lagrange_eval(points, 0)
+
+
+def horner_mod_each_step(f, coefficients, x):
+    acc = 0
+    for c in reversed(coefficients):
+        acc = (acc * x + c) % f.modulus
+    return acc
+
+
+@given(f=FIELDS, data=st.data())
+@settings(max_examples=200)
+def test_eval_at_matches_per_step_mod_horner(f, data):
+    m = f.modulus
+    coeffs = data.draw(st.lists(st.integers(-m, 2 * m), max_size=8))
+    x = data.draw(st.integers(-3 * m, 3 * m))
+    assert f.eval_at(coeffs, x) == horner_mod_each_step(f, coeffs, x)
+
+
+def test_interpolation_errors_raise_on_every_call_after_caching():
+    assert F17.interpolate_at_zero([(1, 5), (2, 6)]) == 4
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([])
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([(17, 5)])
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([(1, 5), (17, 6)])
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([(1, 5), (18, 6)])
+    # The valid set is still served, also through another representative.
+    assert F17.interpolate_at_zero([(18, 5), (2, 6)]) == 4
+
+
+def test_same_xs_in_two_fields_give_each_fields_answer():
+    # f(x) = (x - 1) / 2 through (1, 0), (3, 1): f(0) = -1/2.
+    points = [(1, 0), (3, 1)]
+    for _ in range(2):
+        for f in (F17, F251, FIELD_256):
+            assert f.interpolate_at_zero(points) == f.lagrange_eval(points, 0)
+            assert f.mul(2, f.interpolate_at_zero(points)) == f.modulus - 1
+    answers = {f.interpolate_at_zero(points) for f in (F17, F251, FIELD_256)}
+    assert len(answers) == 3
+
+
+def test_basis_cache_stays_bounded():
+    cache = field_module._basis_at_zero
+    bound = cache.cache_info().maxsize
+    assert bound == 256
+    for x in range(1, bound + 100):
+        FIELD_256.interpolate_at_zero([(x, 1), (x + 1, 2)])
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound
 
 
 # -- embedding ------------------------------------------------------------

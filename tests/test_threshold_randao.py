@@ -266,8 +266,7 @@ def test_slot_below_threshold_is_absent_from_mix():
     assert outcome.mix == mix_reveals(expected)
 
 
-def test_corrupt_origin_downgraded_to_unrecoverable():
-    cfg = SssConfig(2, 31)
+def corrupt_origin_state(cfg):
     envs = [e for e in full_envelopes(cfg) if e.origin_slot != 0]
     # Origin 0 "commits" a value outside the 32-byte image; its shares
     # are mutually consistent yet cannot decode to a reveal.
@@ -278,10 +277,23 @@ def test_corrupt_origin_downgraded_to_unrecoverable():
     envs += [
         ShareEnvelope(0, r, p, r) for r, p in zip(recipients, points)
     ]
-    state = phase(envs, set(range(32)))
-    outcome = recover_all(state, cfg)
+    return phase(envs, set(range(32)))
+
+
+def test_corrupt_origin_downgraded_to_unrecoverable():
+    cfg = SssConfig(2, 31)
+    outcome = recover_all(corrupt_origin_state(cfg), cfg)
     assert outcome.per_slot[0] is None
     assert outcome.per_slot[1] == REVEALS[1]
+
+
+def test_flip_reveals_matches_recover_all_on_corrupt_origin():
+    cfg = SssConfig(2, 31)
+    state = corrupt_origin_state(cfg)
+    reveals, flips = flip_reveals(state, AttackerProfile(frozenset(), 0.0), cfg)
+    assert reveals == list(recover_all(state, cfg).per_slot)
+    assert reveals[0] is None
+    assert flips == []
 
 
 def test_missing_distribution_marks_slot_unrecoverable():
