@@ -12,6 +12,8 @@ from .randao import (
     SLOTS_PER_EPOCH,
     EpochState,
     Validator,
+    acceptance_limits,
+    count_selected,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -178,15 +180,11 @@ def grind_inputs(
     return base_mix, [int.from_bytes(reveals[s], "big") for s in slots]
 
 
-def mask_payoffs(
-    base_mix: int,
-    toggles: Sequence[int],
-    epoch: int,
-    registry: Sequence[Validator],
-    controlled: frozenset[int],
-) -> Iterator[int]:
-    """Attacker proposer slots two epochs later for every mask over
-    `toggles`, in ascending mask order.
+def _mask_seeds(
+    base_mix: int, toggles: Sequence[int], epoch: int
+) -> Iterator[bytes]:
+    """The epoch+2 selection seed of every mask over `toggles`, in
+    ascending mask order.
 
     Bit i of a mask XORs toggles[i] into base_mix, so mask 0 is honest
     play.  Going from mask - 1 to mask flips the lowest set bit of mask
@@ -201,10 +199,32 @@ def mask_payoffs(
     for mask in range(1 << len(toggles)):
         if mask:
             mix ^= prefix[(mask & -mask).bit_length() - 1]
-        seed = derive_seed(mix.to_bytes(32, "big"), epoch)
-        yield sum(
-            1 for idx in select_proposers(seed, registry) if idx in controlled
-        )
+        yield derive_seed(mix.to_bytes(32, "big"), epoch)
+
+
+def _selection_tables(
+    registry: Sequence[Validator], controlled: frozenset[int]
+) -> tuple[list[int], list[bool]]:
+    """What count_selected needs of the registry, built once per grind:
+    its acceptance limits and a controlled flag per index."""
+    return acceptance_limits(registry), [
+        index in controlled for index in range(len(registry))
+    ]
+
+
+def mask_payoffs(
+    base_mix: int,
+    toggles: Sequence[int],
+    epoch: int,
+    registry: Sequence[Validator],
+    controlled: frozenset[int],
+) -> Iterator[int]:
+    """Attacker proposer slots two epochs later for every mask over
+    `toggles`, in ascending mask order, each counted in full (see
+    _mask_seeds for the mask encoding)."""
+    limits, marked = _selection_tables(registry, controlled)
+    for seed in _mask_seeds(base_mix, toggles, epoch):
+        yield count_selected(seed, limits, marked, -1)
 
 
 def grind(
@@ -215,14 +235,23 @@ def grind(
     controlled: frozenset[int],
 ) -> AttackOutcome:
     """Best of the 2^len(toggles) masks of mask_payoffs; ties go to the
-    smallest mask value."""
-    payoffs = list(
-        mask_payoffs(base_mix, toggles, epoch, registry, controlled)
-    )
-    best = max(payoffs)
-    return AttackOutcome(
-        Strategy(payoffs.index(best), len(toggles)), best, payoffs[0]
-    )
+    smallest mask value.
+
+    Mask 0 is counted in full, so honest_payoff is exact.  Every later
+    mask is counted against the best count so far as its floor: only a
+    strictly larger count wins, so a mask is dropped as soon as its
+    remaining slots cannot lift it above that floor, and the winner's
+    count is always complete.
+    """
+    limits, marked = _selection_tables(registry, controlled)
+    seeds = _mask_seeds(base_mix, toggles, epoch)
+    honest = best = count_selected(next(seeds), limits, marked, -1)
+    best_mask = 0
+    for mask, seed in enumerate(seeds, 1):
+        payoff = count_selected(seed, limits, marked, best)
+        if payoff > best:
+            best, best_mask = payoff, mask
+    return AttackOutcome(Strategy(best_mask, len(toggles)), best, honest)
 
 
 def best_strategy(

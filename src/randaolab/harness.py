@@ -75,22 +75,27 @@ def trial_rng(rng_seed: int, index: int) -> random.Random:
 
 def build_registry(cfg: ScenarioConfig, rng: random.Random) -> list[Validator]:
     model, arg = parse_balance_model(cfg.balance_model)
-    validators = []
-    for i in range(cfg.validator_count):
-        key = rng.randbytes(32)
-        if model == "uniform":
-            balance = MAX_EFFECTIVE_BALANCE
-        elif model == "pareto":
+    count = cfg.validator_count
+    if model == "pareto":
+        validators = []
+        for i in range(count):
+            key = rng.randbytes(32)
             # Heavy tail scaled into [MAX/32, MAX].
             draw = rng.paretovariate(arg)
             balance = min(
                 MAX_EFFECTIVE_BALANCE,
                 int(draw * (MAX_EFFECTIVE_BALANCE // 32)),
             )
-        else:
-            balance = arg[i]
-        validators.append(Validator(i, key, balance))
-    return validators
+            validators.append(Validator(i, key, balance))
+        return validators
+    # One draw of every key leaves the RNG where one draw per validator
+    # would, with the same bytes.
+    keys = rng.randbytes(32 * count)
+    balances = [MAX_EFFECTIVE_BALANCE] * count if model == "uniform" else arg
+    return [
+        Validator(i, keys[32 * i : 32 * i + 32], balances[i])
+        for i in range(count)
+    ]
 
 
 def assign_attacker(

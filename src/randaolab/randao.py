@@ -8,9 +8,10 @@ unique-per-(validator, epoch), unpredictable-without-the-key value.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field as dataclass_field
 from hashlib import sha256
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 SLOTS_PER_EPOCH = 32
 MAX_EFFECTIVE_BALANCE = 32 * 10**9
@@ -81,6 +82,53 @@ def derive_seed(mix: bytes, epoch: int) -> bytes:
     return sha256(DOMAIN_BEACON_PROPOSER + _le64(epoch) + mix).digest()
 
 
+def acceptance_limits(registry: Sequence[Validator]) -> list[int]:
+    """Per validator, 256 * effective_balance // MAX_EFFECTIVE_BALANCE.
+
+    A candidate drawn with acceptance byte d passes the spec's test
+    (d + 1) * MAX_EFFECTIVE_BALANCE <= 256 * balance exactly when
+    d < its limit; a limit of 0 (balance below MAX / 256) never passes.
+    """
+    return [
+        256 * v.effective_balance // MAX_EFFECTIVE_BALANCE for v in registry
+    ]
+
+
+# Hash suffix of each slot's first try: slot and counter 0, little-endian.
+_FIRST_TRY_SUFFIX = tuple(
+    _le64(slot) + _le64(0) for slot in range(SLOTS_PER_EPOCH)
+)
+# A try's digest read as (big-endian candidate draw, acceptance byte).
+_DRAW = struct.Struct(">QB").unpack_from
+
+
+def _proposers(seed: bytes, limits: Sequence[int]) -> Iterator[int]:
+    """The selection loop: one proposer index per slot, in slot order.
+
+    Try `counter` of a slot hashes seed || slot || counter; the first 8
+    digest bytes pick the candidate and byte 8 is its acceptance draw.
+    """
+    count = len(limits)
+    seeded = sha256(seed)
+    for slot in range(SLOTS_PER_EPOCH):
+        suffix = _FIRST_TRY_SUFFIX[slot]
+        # `counter` numbers the try after this one.
+        for counter in range(1, _SELECTION_TRY_LIMIT + 1):
+            hasher = seeded.copy()
+            hasher.update(suffix)
+            draw, byte = _DRAW(hasher.digest())
+            candidate = draw % count
+            if byte < limits[candidate]:
+                yield candidate
+                break
+            suffix = _le64(slot) + _le64(counter)
+        else:
+            raise SelectionError(
+                f"no candidate accepted for slot {slot} after "
+                f"{_SELECTION_TRY_LIMIT} tries"
+            )
+
+
 def select_proposers(
     seed: bytes, registry: Sequence[Validator]
 ) -> tuple[int, ...]:
@@ -91,23 +139,32 @@ def select_proposers(
         raise ValueError("seed must be 32 bytes")
     if not registry:
         raise ValueError("registry must be non-empty")
-    count = len(registry)
-    out = []
-    for slot in range(SLOTS_PER_EPOCH):
-        prefix = seed + _le64(slot)
-        for counter in range(_SELECTION_TRY_LIMIT):
-            digest = sha256(prefix + _le64(counter)).digest()
-            candidate = int.from_bytes(digest[:8], "big") % count
-            balance = registry[candidate].effective_balance
-            if (digest[8] + 1) * MAX_EFFECTIVE_BALANCE <= 256 * balance:
-                out.append(candidate)
-                break
-        else:
-            raise SelectionError(
-                f"no candidate accepted for slot {slot} after "
-                f"{_SELECTION_TRY_LIMIT} tries"
-            )
-    return tuple(out)
+    return tuple(_proposers(seed, acceptance_limits(registry)))
+
+
+def count_selected(
+    seed: bytes, limits: Sequence[int], marked: Sequence[bool], floor: int
+) -> int:
+    """How many of the epoch's proposers under `seed` are marked, for
+    a registry given by its acceptance_limits and one flag per index.
+
+    The count is exact whenever it exceeds `floor`.  Otherwise counting
+    may stop once the slots left cannot lift it above `floor`, and the
+    result is then some value <= floor; floor = -1 always counts every
+    slot.
+    """
+    if len(seed) != 32:
+        raise ValueError("seed must be 32 bytes")
+    if not limits:
+        raise ValueError("registry must be non-empty")
+    count = 0
+    left = SLOTS_PER_EPOCH
+    for candidate in _proposers(seed, limits):
+        count += marked[candidate]
+        left -= 1
+        if count + left <= floor:
+            break
+    return count
 
 
 @dataclass

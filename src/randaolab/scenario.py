@@ -91,6 +91,15 @@ class ScenarioConfig:
             raise ConfigError(
                 "explicit balance list length must equal validator_count"
             )
+        # A balance below MAX/256 has acceptance limit 0 (see
+        # randao.acceptance_limits): proposer selection never accepts it,
+        # so a registry of nothing else starves every slot.
+        if model == "explicit" and 256 * max(arg) < MAX_EFFECTIVE_BALANCE:
+            raise ConfigError(
+                "explicit balances are all below MAX/256 = "
+                f"{MAX_EFFECTIVE_BALANCE // 256}, so no validator can "
+                "ever be selected as proposer"
+            )
         if not 0.0 <= self.attacker_stake_fraction <= 1.0:
             raise ConfigError("attacker_stake_fraction must be in [0, 1]")
         if self.protocol not in PROTOCOLS:

@@ -91,6 +91,19 @@ def test_simulate_validators_above_cap_exits_2(count, capsys):
     assert "config error:" in err
 
 
+def test_simulate_unselectable_registry_exits_2(tmp_path, capsys):
+    # Both balances below MAX/256: selection would starve at slot 0.
+    path = tmp_path / "starved.ini"
+    path.write_text(
+        "[scenario]\nvalidator_count = 2\n"
+        "balance_model = explicit:100000000,100000000\n"
+    )
+    code, out, err = run_main(["simulate", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error:" in err and "MAX/256" in err
+
+
 def test_simulate_unwritable_out_exits_1(tmp_path, capsys):
     target = tmp_path / "missing" / "report.csv"
     code, _, err = run_main(

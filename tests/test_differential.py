@@ -2,13 +2,18 @@
 reveal-phase oracle, field by field, on a small grid that covers the
 three security cases, a flip set cut at the cap, the broken-seed
 fallback, pareto balances and classic runs with a tail_limit or a tail
-cut at the cap."""
+cut at the cap; and grind's pruned scan against every mask counted in
+full."""
+
+from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randaolab.adversary import (
     Strategy,
     evaluate_strategy,
+    grind,
     grind_inputs,
     mask_payoffs,
     tail_decision_slots,
@@ -19,6 +24,7 @@ from randaolab.harness import (
     sss_trial,
     sss_trial_detail,
 )
+from randaolab.randao import MAX_EFFECTIVE_BALANCE, SelectionError, Validator
 from randaolab.scenario import ScenarioConfig
 from randaolab.shamir import SssConfig
 from randaolab.threshold_randao import (
@@ -194,3 +200,66 @@ def test_sss_trial_matches_reveal_phase_oracle():
         assert detail.recovery.broken == expected.broken
     assert cases == {"prevented", "broken", "collusion"}
     assert capped >= 1
+
+
+def _grind_matches_full_scan(grind_args):
+    """grind against the argmax of every mask counted in full: first
+    argmax, its count, and mask 0's count."""
+    payoffs = list(mask_payoffs(*grind_args))
+    outcome = grind(*grind_args)
+    best = max(payoffs)
+    assert outcome.chosen == Strategy(payoffs.index(best), len(grind_args[1]))
+    assert outcome.payoff == best
+    assert outcome.honest_payoff == payoffs[0]
+    return payoffs
+
+
+@pytest.mark.parametrize("name", GRID)
+def test_grind_matches_mask_payoffs(name):
+    cfg = GRID[name]
+    for index in range(cfg.epochs):
+        if cfg.protocol == "sss":
+            detail = sss_trial_detail(cfg, index)
+            inputs = grind_inputs(detail.mask0_reveals, detail.flip_slots)
+        else:
+            detail = classic_trial_detail(cfg, index)
+            inputs = grind_inputs(detail.state.posted, detail.decision_slots)
+        _grind_matches_full_scan(
+            (*inputs, index, detail.registry, detail.profile.controlled)
+        )
+
+
+# Two to four validators, about half of them controlled: most masks tie
+# with another, so the tie rule and the pruning floor are exercised.
+@settings(max_examples=80, deadline=None)
+@given(
+    balances=st.lists(
+        st.integers(MAX_EFFECTIVE_BALANCE // 4, MAX_EFFECTIVE_BALANCE),
+        min_size=2, max_size=4,
+    ),
+    base_mix=st.integers(0, 2**256 - 1),
+    toggles=st.lists(st.integers(0, 2**256 - 1), max_size=6),
+    epoch=st.integers(0, 2**20),
+)
+def test_grind_matches_mask_payoffs_on_tie_heavy_registries(
+    balances, base_mix, toggles, epoch
+):
+    registry = [
+        Validator(i, sha256(b"tie%d" % i).digest(), balance)
+        for i, balance in enumerate(balances)
+    ]
+    controlled = frozenset(range(0, len(registry), 2))
+    _grind_matches_full_scan(
+        (base_mix, toggles, epoch, registry, controlled)
+    )
+
+
+def test_grind_raises_on_a_starved_registry():
+    # Every balance below MAX/256: no candidate is ever accepted.
+    registry = [
+        Validator(i, sha256(b"s%d" % i).digest(),
+                  MAX_EFFECTIVE_BALANCE // 256 - 1)
+        for i in range(3)
+    ]
+    with pytest.raises(SelectionError):
+        grind(7, [1, 2], 0, registry, frozenset({0}))

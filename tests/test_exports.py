@@ -69,6 +69,13 @@ def test_removed_names_stay_removed():
     assert present == []
 
 
+def test_selection_kernel_is_exported():
+    # The grinding kernel's per-registry table and per-seed counter.
+    for name in ("acceptance_limits", "count_selected"):
+        assert name in randaolab.__all__
+        assert getattr(randaolab, name) is getattr(randaolab.randao, name)
+
+
 def test_sharing_takes_the_production_field_only():
     for fn in (randaolab.split, randaolab.distribute_shares):
         assert "field" not in inspect.signature(fn).parameters

@@ -27,7 +27,11 @@ from randaolab.harness import (
     trial_rng,
 )
 from randaolab.randao import MAX_EFFECTIVE_BALANCE, select_proposers
-from randaolab.scenario import ConfigError, ScenarioConfig
+from randaolab.scenario import (
+    ConfigError,
+    ScenarioConfig,
+    parse_balance_model,
+)
 
 
 def small(**changes):
@@ -80,6 +84,49 @@ def test_build_registry_explicit():
     assert [v.effective_balance for v in registry] == [
         5, MAX_EFFECTIVE_BALANCE, 17,
     ]
+
+
+def _per_validator_registry(cfg, rng):
+    """The registry build as one draw per validator: a key, then for
+    pareto a balance draw."""
+    model, arg = parse_balance_model(cfg.balance_model)
+    out = []
+    for i in range(cfg.validator_count):
+        key = rng.randbytes(32)
+        if model == "uniform":
+            balance = MAX_EFFECTIVE_BALANCE
+        elif model == "pareto":
+            balance = min(
+                MAX_EFFECTIVE_BALANCE,
+                int(rng.paretovariate(arg) * (MAX_EFFECTIVE_BALANCE // 32)),
+            )
+        else:
+            balance = arg[i]
+        out.append((i, key, balance))
+    return out
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"validator_count": 1},
+        {"validator_count": 7},
+        {"validator_count": 200},
+        {"validator_count": 60, "balance_model": "pareto:1.5"},
+        {"validator_count": 3,
+         "balance_model": f"explicit:5,{MAX_EFFECTIVE_BALANCE},17"},
+    ],
+)
+def test_build_registry_matches_per_validator_draws(changes):
+    cfg = ScenarioConfig(epochs=1, **changes)
+    for index in range(3):
+        rng, oracle_rng = trial_rng(4, index), trial_rng(4, index)
+        registry = build_registry(cfg, rng)
+        expected = _per_validator_registry(cfg, oracle_rng)
+        assert [
+            (v.index, v.secret_key, v.effective_balance) for v in registry
+        ] == expected
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_assign_attacker_uniform_prefix():

@@ -16,11 +16,15 @@ from randaolab.randao import (
     ProtocolError,
     SelectionError,
     Validator,
+    acceptance_limits,
     compute_reveal,
+    count_selected,
     derive_seed,
     mix_reveals,
     select_proposers,
 )
+from randaolab.harness import build_registry, trial_rng
+from randaolab.scenario import ScenarioConfig
 
 
 def make_validator(index, seed=0, balance=MAX_EFFECTIVE_BALANCE):
@@ -196,6 +200,116 @@ def test_selection_weights_by_balance():
     # 3 sigma around 2/3 for a binomial with N = 12,800.
     sigma = (2 / 9 / total) ** 0.5
     assert abs(frequency - 2 / 3) <= 3 * sigma
+
+
+# -- selection against the spec formula -------------------------------------
+
+def spec_select(seed, registry):
+    """Literal spec selection: try `counter` of a slot hashes
+    seed || slot || counter and accepts candidate c when
+    (digest[8] + 1) * MAX <= 256 * balance(c), within 10 000 tries."""
+    out = []
+    for slot in range(32):
+        for counter in range(10_000):
+            digest = sha256(
+                seed + slot.to_bytes(8, "little")
+                + counter.to_bytes(8, "little")
+            ).digest()
+            candidate = int.from_bytes(digest[:8], "big") % len(registry)
+            balance = registry[candidate].effective_balance
+            if (digest[8] + 1) * MAX_EFFECTIVE_BALANCE <= 256 * balance:
+                out.append(candidate)
+                break
+        else:
+            raise SelectionError(f"slot {slot} starved")
+    return tuple(out)
+
+
+UNIT = MAX_EFFECTIVE_BALANCE // 256  # the smallest selectable balance
+BOUNDARY_BALANCES = sorted(
+    b
+    for k in (1, 2, 3, 17, 64, 128, 200, 255, 256)
+    for b in (k * UNIT - 1, k * UNIT, k * UNIT + 1)
+    if 1 <= b <= MAX_EFFECTIVE_BALANCE
+) + [1]
+
+
+def test_acceptance_limits_match_the_spec_test():
+    registry = [
+        make_validator(i, balance=b) for i, b in enumerate(BOUNDARY_BALANCES)
+    ]
+    limits = acceptance_limits(registry)
+    for v, limit in zip(registry, limits):
+        for d in range(256):
+            assert (d < limit) == (
+                (d + 1) * MAX_EFFECTIVE_BALANCE <= 256 * v.effective_balance
+            ), (v.effective_balance, d)
+
+
+def _pareto_registry(index):
+    cfg = ScenarioConfig(
+        validator_count=60, balance_model="pareto:1.5", epochs=1
+    )
+    return build_registry(cfg, trial_rng(3, index))
+
+
+@pytest.mark.parametrize(
+    "registry",
+    [
+        _pareto_registry(0),
+        _pareto_registry(1),
+        [make_validator(i, balance=b)
+         for i, b in enumerate(BOUNDARY_BALANCES)],
+        # One selectable validator among many that never pass.
+        [make_validator(0, balance=8 * UNIT)]
+        + [make_validator(i, balance=UNIT - 1) for i in range(1, 4)],
+    ],
+    ids=["pareto-0", "pareto-1", "boundary", "one-selectable"],
+)
+def test_select_matches_spec_oracle(registry):
+    for i in range(40):
+        seed = sha256(b"spec%d" % i).digest()
+        assert select_proposers(seed, registry) == spec_select(seed, registry)
+
+
+def test_all_zero_limit_registry_starves_both():
+    registry = [make_validator(i, balance=UNIT - 1) for i in range(3)]
+    assert acceptance_limits(registry) == [0, 0, 0]
+    seed = sha256(b"starved").digest()
+    with pytest.raises(SelectionError):
+        spec_select(seed, registry)
+    with pytest.raises(SelectionError):
+        select_proposers(seed, registry)
+    with pytest.raises(SelectionError):
+        count_selected(seed, acceptance_limits(registry), [True] * 3, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    balances=st.lists(
+        st.integers(min_value=UNIT, max_value=MAX_EFFECTIVE_BALANCE),
+        min_size=1, max_size=8,
+    ),
+    marks=st.lists(st.booleans(), min_size=8, max_size=8),
+    floor=st.integers(min_value=-1, max_value=SLOTS_PER_EPOCH + 1),
+)
+def test_count_selected_is_exact_above_its_floor(seed, balances, marks, floor):
+    registry = [make_validator(i, balance=b) for i, b in enumerate(balances)]
+    marked = marks[: len(registry)]
+    exact = sum(1 for c in select_proposers(seed, registry) if marked[c])
+    got = count_selected(seed, acceptance_limits(registry), marked, floor)
+    if exact > floor:
+        assert got == exact
+    else:
+        assert got <= floor
+
+
+def test_count_selected_validation():
+    with pytest.raises(ValueError):
+        count_selected(b"\x00" * 31, [256], [True], -1)
+    with pytest.raises(ValueError):
+        count_selected(b"\x00" * 32, [], [], -1)
 
 
 # -- epoch state ------------------------------------------------------------

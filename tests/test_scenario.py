@@ -44,6 +44,11 @@ def test_defaults():
         {"balance_model": "explicit:1,2,x"},
         {"balance_model": "explicit:0", "validator_count": 1},
         {"balance_model": "explicit:5,5", "validator_count": 3},
+        # Every balance below MAX/256: no validator can ever be selected.
+        {"balance_model": "explicit:100000000,100000000",
+         "validator_count": 2},
+        {"balance_model": f"explicit:{MAX_EFFECTIVE_BALANCE // 256 - 1}",
+         "validator_count": 1},
         {"attacker_stake_fraction": -0.1},
         {"attacker_stake_fraction": 1.5},
         {"protocol": "pos"},
@@ -62,6 +67,15 @@ def test_defaults():
 def test_validation_rejects(changes):
     with pytest.raises(ConfigError):
         ScenarioConfig(**changes)
+
+
+def test_one_selectable_explicit_balance_is_enough():
+    # MAX/256 is the smallest balance the acceptance test can pass.
+    low = MAX_EFFECTIVE_BALANCE // 256
+    cfg = ScenarioConfig(
+        validator_count=2, balance_model=f"explicit:{low - 1},{low}"
+    )
+    assert cfg.validator_count == 2
 
 
 def test_strategy_cap_upper_bound_is_inclusive():
