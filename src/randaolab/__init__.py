@@ -42,7 +42,6 @@ from .adversary import (
     AttackOutcome,
     DEFAULT_STRATEGY_CAP,
     Strategy,
-    StrategyCapExceeded,
     best_strategy,
     enumerate_strategies,
     evaluate_strategy,
@@ -68,9 +67,7 @@ from .harness import (
     EmitError,
     MetricsReport,
     emit,
-    run_classic,
     run_scenario,
-    run_sss,
     sweep,
 )
 
@@ -104,7 +101,6 @@ __all__ = [
     "SharePoint",
     "SssConfig",
     "Strategy",
-    "StrategyCapExceeded",
     "Validator",
     "acceptance_limits",
     "adversary_flip_set",
@@ -125,10 +121,8 @@ __all__ = [
     "mix_reveals",
     "recover",
     "recover_all",
-    "run_classic",
     "run_reveal_phase",
     "run_scenario",
-    "run_sss",
     "secrecy_probe",
     "select_proposers",
     "share_index",

@@ -22,10 +22,6 @@ from .randao import (
 DEFAULT_STRATEGY_CAP = 20
 
 
-class StrategyCapExceeded(RuntimeError):
-    """The strategy space 2^h is larger than the configured budget."""
-
-
 @dataclass(frozen=True)
 class AttackerProfile:
     """Validators under one coordinating adversary."""
@@ -123,7 +119,7 @@ def enumerate_strategies(
     if h < 0:
         raise ValueError("h must be >= 0")
     if h > cap:
-        raise StrategyCapExceeded(f"2^{h} strategies exceed cap 2^{cap}")
+        raise ValueError(f"2^{h} strategies exceed cap 2^{cap}")
     return [Strategy(mask, h) for mask in range(1 << h)]
 
 
@@ -254,6 +250,15 @@ def grind(
     return AttackOutcome(Strategy(best_mask, len(toggles)), best, honest)
 
 
+def strategy_budget(cap: int, limit: Optional[int] = None) -> int:
+    """How many decision slots a grinder keeps: at most `cap`, and at
+    most `limit` when one is given.  Both protocols cut a wider
+    decision set to this width rather than fail."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    return cap if limit is None else min(cap, limit)
+
+
 def best_strategy(
     epoch: EpochState,
     attacker: AttackerProfile,
@@ -261,13 +266,12 @@ def best_strategy(
     cap: int = DEFAULT_STRATEGY_CAP,
     tail_limit: Optional[int] = None,
 ) -> AttackOutcome:
-    """Grind all 2^h withhold masks over the tail decision slots (cut to
-    tail_limit, see tail_decision_slots); ties go to the smallest mask
-    value."""
-    decision_slots = tail_decision_slots(epoch, attacker, tail_limit)
-    h = len(decision_slots)
-    if h > cap:
-        raise StrategyCapExceeded(f"2^{h} strategies exceed cap 2^{cap}")
+    """Grind all withhold masks over the last min(cap, tail_limit) tail
+    decision slots (see tail_decision_slots); ties go to the smallest
+    mask value."""
+    decision_slots = tail_decision_slots(
+        epoch, attacker, strategy_budget(cap, tail_limit)
+    )
     return grind(
         *grind_inputs(epoch.posted, decision_slots),
         epoch.epoch,

@@ -17,6 +17,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
@@ -28,6 +29,7 @@ from .adversary import (
     AttackOutcome,
     grind,
     grind_inputs,
+    strategy_budget,
     tail_decision_slots,
 )
 from .randao import (
@@ -105,17 +107,14 @@ def assign_attacker(
     the target fraction; the achieved fraction is reported, not the
     target."""
     total = sum(v.effective_balance for v in registry)
-    target = cfg.attacker_stake_fraction
     controlled = []
     held = 0
     for v in registry:
-        if total and held / total >= target:
+        if held / total >= cfg.attacker_stake_fraction:
             break
         controlled.append(v.index)
         held += v.effective_balance
-    if target == 0.0:
-        controlled = []
-    return AttackerProfile.from_registry(registry, controlled)
+    return AttackerProfile(frozenset(controlled), held / total)
 
 
 class ClassicTrialDetail(NamedTuple):
@@ -193,10 +192,9 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
             state.post_reveal(
                 slot, compute_reveal(registry[validator_index], index)
             )
-    limit = cfg.strategy_cap
-    if cfg.tail_limit is not None:
-        limit = min(limit, cfg.tail_limit)
-    decision = tail_decision_slots(state, profile, limit)
+    decision = tail_decision_slots(
+        state, profile, strategy_budget(cfg.strategy_cap, cfg.tail_limit)
+    )
     outcome = grind(
         *grind_inputs(state.posted, decision),
         index,
@@ -398,34 +396,32 @@ def _aggregate(cfg: ScenarioConfig, rows: Sequence[TrialRow]) -> MetricsReport:
     )
 
 
-def _trial_rows(cfg: ScenarioConfig, workers: int) -> list[TrialRow]:
-    trial = sss_trial if cfg.protocol == "sss" else classic_trial
-    workers = min(workers, cfg.epochs, os.cpu_count() or 1)
-    if workers <= 1:
-        return [trial(cfg, i) for i in range(cfg.epochs)]
-    chunk = max(1, cfg.epochs // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(partial(trial, cfg), range(cfg.epochs), chunksize=chunk)
-        )
-
-
-def run_classic(cfg: ScenarioConfig, workers: int = 1) -> MetricsReport:
-    if cfg.protocol != "classic":
-        raise ConfigError("run_classic needs protocol = classic")
-    return _aggregate(cfg, _trial_rows(cfg, workers))
-
-
-def run_sss(cfg: ScenarioConfig, workers: int = 1) -> MetricsReport:
-    if cfg.protocol != "sss":
-        raise ConfigError("run_sss needs protocol = sss")
-    return _aggregate(cfg, _trial_rows(cfg, workers))
+def _run_cells(
+    cells: Sequence[ScenarioConfig], workers: int
+) -> list[MetricsReport]:
+    """One report per cell, in order.  With workers > 1, one process
+    pool, cut to the largest cell's epoch count and to the CPU count,
+    serves every cell; cells still run one after another, so memory
+    holds one cell's rows at a time."""
+    largest = max((cfg.epochs for cfg in cells), default=1)
+    workers = min(workers, largest, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    reports = []
+    with pool or nullcontext():
+        for cfg in cells:
+            trial = sss_trial if cfg.protocol == "sss" else classic_trial
+            epochs = range(cfg.epochs)
+            if pool:
+                chunk = max(1, cfg.epochs // (workers * 4))
+                rows = pool.map(partial(trial, cfg), epochs, chunksize=chunk)
+            else:
+                rows = (trial(cfg, i) for i in epochs)
+            reports.append(_aggregate(cfg, list(rows)))
+    return reports
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> MetricsReport:
-    return run_sss(cfg, workers) if cfg.protocol == "sss" else run_classic(
-        cfg, workers
-    )
+    return _run_cells([cfg], workers)[0]
 
 
 def sweep(
@@ -434,7 +430,7 @@ def sweep(
     workers: int = 1,
 ) -> list[MetricsReport]:
     """One report per grid cell, row-major (later axes vary fastest)."""
-    return [run_scenario(cell, workers) for cell in grid_cells(base, axes)]
+    return _run_cells(grid_cells(base, axes), workers)
 
 
 METRIC_COLUMNS = (

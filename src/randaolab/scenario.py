@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,14 +92,16 @@ class ScenarioConfig:
             raise ConfigError(
                 "explicit balance list length must equal validator_count"
             )
-        # A balance below MAX/256 has acceptance limit 0 (see
-        # randao.acceptance_limits): proposer selection never accepts it,
-        # so a registry of nothing else starves every slot.
-        if model == "explicit" and 256 * max(arg) < MAX_EFFECTIVE_BALANCE:
+        # A selection try accepts with chance sum(limits) / (256 N), the
+        # limits as in randao.acceptance_limits (0 below MAX/256).  From
+        # 1/512 up, a slot runs out of its 10000 tries with chance < e^-19.
+        if model == "explicit" and 2 * sum(
+            256 * b // MAX_EFFECTIVE_BALANCE for b in arg
+        ) < self.validator_count:
             raise ConfigError(
-                "explicit balances are all below MAX/256 = "
-                f"{MAX_EFFECTIVE_BALANCE // 256}, so no validator can "
-                "ever be selected as proposer"
+                "explicit balances leave proposer selection an acceptance "
+                "chance below 1/512 per try (a balance below MAX/256 = "
+                f"{MAX_EFFECTIVE_BALANCE // 256} is never selected)"
             )
         if not 0.0 <= self.attacker_stake_fraction <= 1.0:
             raise ConfigError("attacker_stake_fraction must be in [0, 1]")
@@ -226,20 +229,24 @@ def load_grid(path: str) -> tuple[ScenarioConfig, list[tuple[str, list]]]:
             axes.append((key, values))
     if not axes:
         raise ConfigError("sweep config needs a non-empty [grid] section")
-    cells = 1
-    for _, values in axes:
-        cells *= len(values)
+    _check_grid_size(axes)
+    return base, axes
+
+
+def _check_grid_size(axes: Sequence[tuple[str, list]]) -> None:
+    """Reject a grid over MAX_SWEEP_CELLS before any cell is built."""
+    cells = math.prod(len(values) for _, values in axes)
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError(
             f"grid expands to {cells} cells, cap is {MAX_SWEEP_CELLS}"
         )
-    return base, axes
 
 
 def grid_cells(
     base: ScenarioConfig, axes: Sequence[tuple[str, list]]
 ) -> list[ScenarioConfig]:
     """Cartesian product in row-major order: later axes vary fastest."""
+    _check_grid_size(axes)
     configs = [base]
     for key, values in axes:
         configs = [
@@ -247,8 +254,4 @@ def grid_cells(
             for cfg in configs
             for value in values
         ]
-    if len(configs) > MAX_SWEEP_CELLS:
-        raise ConfigError(
-            f"grid expands to {len(configs)} cells, cap is {MAX_SWEEP_CELLS}"
-        )
     return configs

@@ -20,9 +20,9 @@ from .adversary import (
     AttackerProfile,
     AttackOutcome,
     Strategy,
-    StrategyCapExceeded,
     grind,
     grind_inputs,
+    strategy_budget,
 )
 from .field import FIELD_256, SharePoint
 from .randao import (
@@ -413,19 +413,17 @@ def best_flip_strategy(
     cap: int = DEFAULT_STRATEGY_CAP,
     max_flips: Optional[int] = None,
 ) -> AttackOutcome:
-    """Grind all 2^|F| suppression subsets; ties go to the smallest mask.
+    """Grind every suppression subset of the lowest min(cap, max_flips)
+    flip slots; ties go to the smallest mask.
 
     Slots outside the flip set are out of the adversary's hands: origins
     with >= n honest shares recover regardless, the rest stay absent
-    regardless, and flippable origins beyond the max_flips budget are
-    released as under mask 0.  Mask bit i suppresses flip slot i.
+    regardless, and flippable origins beyond the budget are released as
+    under mask 0.  Mask bit i suppresses flip slot i.
     """
-    reveals, flip_slots = flip_reveals(state, attacker, config, max_flips)
-    width = len(flip_slots)
-    if width > cap:
-        raise StrategyCapExceeded(
-            f"2^{width} flip strategies exceed cap 2^{cap}"
-        )
+    reveals, flip_slots = flip_reveals(
+        state, attacker, config, strategy_budget(cap, max_flips)
+    )
     return grind(
         *grind_inputs(reveals, flip_slots),
         state.epoch,

@@ -21,8 +21,7 @@ from randaolab.cli import main
 from randaolab.field import PrimeField
 from randaolab.harness import (
     classic_trial_detail,
-    run_classic,
-    run_sss,
+    run_scenario,
     sss_trial,
     sss_trial_detail,
 )
@@ -192,7 +191,7 @@ def test_criterion_4_classic_bias_with_audit(announce):
     with verdict(announce, 4) as note:
         start = time.perf_counter()
         cfg = ScenarioConfig(epochs=10000, rng_seed=0)
-        report = run_classic(cfg)
+        report = run_scenario(cfg)
         assert report.fair_share == pytest.approx(9.6, rel=1e-12)
         sigmas = report.bias_gain / report.std_error
         assert report.bias_gain >= 3 * report.std_error, (
@@ -225,7 +224,7 @@ def test_criterion_5_sharing_prevents_the_attack(announce):
         # Headline run in the regime the prevention claim presumes
         # (adversary short of n slots essentially always: at stake 0.1
         # the chance of 16+ attacker slots in an epoch is ~1e-8).
-        headline = run_sss(
+        headline = run_scenario(
             ScenarioConfig(
                 protocol="sss",
                 attacker_stake_fraction=0.1,
@@ -279,7 +278,7 @@ def test_criterion_6_breakdown_when_threshold_unmet(announce):
             epochs=300,
             rng_seed=0,
         )
-        report = run_sss(cfg)
+        report = run_scenario(cfg)
         assert report.cases_broken == 300, (
             f"{report.cases_broken}/300 epochs classified broken"
         )
@@ -304,7 +303,7 @@ def test_criterion_7_collusion_regains_bias(announce):
             epochs=150,
             rng_seed=0,
         )
-        report = run_sss(cfg)
+        report = run_scenario(cfg)
         sigmas = report.bias_gain / report.std_error
         assert report.bias_gain >= 3 * report.std_error, (
             f"bias {report.bias_gain:.3f} is only {sigmas:.1f} sigma"

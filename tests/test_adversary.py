@@ -11,7 +11,6 @@ from randaolab.adversary import (
     AttackOutcome,
     DEFAULT_STRATEGY_CAP,
     Strategy,
-    StrategyCapExceeded,
     best_strategy,
     enumerate_strategies,
     evaluate_strategy,
@@ -107,9 +106,9 @@ def test_enumerate_strategies_counts_and_order():
 
 
 def test_enumerate_strategies_cap():
-    with pytest.raises(StrategyCapExceeded):
+    with pytest.raises(ValueError, match="exceed cap"):
         enumerate_strategies(DEFAULT_STRATEGY_CAP + 1)
-    with pytest.raises(StrategyCapExceeded):
+    with pytest.raises(ValueError, match="exceed cap"):
         enumerate_strategies(4, cap=3)
     with pytest.raises(ValueError):
         enumerate_strategies(-1)
@@ -191,11 +190,20 @@ def test_best_strategy_h0_returns_honest():
 
 
 def test_best_strategy_cap():
+    # A 32-slot tail is cut to its last min(cap, tail_limit) slots, as
+    # the harness cuts it, instead of failing.
     registry = make_registry(8)
     attacker = profile_of(registry, range(8))
     epoch = make_epoch([0] * 32, registry)
-    with pytest.raises(StrategyCapExceeded):
-        best_strategy(epoch, attacker, registry, cap=8)
+    outcome = best_strategy(epoch, attacker, registry, cap=8)
+    assert outcome.chosen.width == 8
+    assert outcome == best_strategy(epoch, attacker, registry, tail_limit=8)
+    assert best_strategy(
+        epoch, attacker, registry, cap=8, tail_limit=3
+    ).chosen.width == 3
+    assert best_strategy(epoch, attacker, registry, cap=0).chosen.width == 0
+    with pytest.raises(ValueError, match="cap"):
+        best_strategy(epoch, attacker, registry, cap=-1)
 
 
 def test_best_strategy_tie_goes_to_smallest_mask():

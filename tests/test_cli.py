@@ -84,6 +84,20 @@ def test_simulate_bad_scenario_value_exits_2(capsys):
     assert "config error:" in err
 
 
+def test_simulate_sparse_registry_exits_2(tmp_path, capsys):
+    # One selectable balance among 40: a slot would run out of its
+    # selection tries about one time in three.
+    path = tmp_path / "sparse.ini"
+    path.write_text(
+        "[scenario]\nvalidator_count = 40\nattacker_stake_fraction = 0.5\n"
+        "epochs = 1\nbalance_model = explicit:125000000" + ",1" * 39 + "\n"
+    )
+    code, out, err = run_main(["simulate", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error:" in err and "1/512" in err
+
+
 @pytest.mark.parametrize("count", [MAX_VALIDATORS + 1, 10**12])
 def test_simulate_validators_above_cap_exits_2(count, capsys):
     code, _, err = run_main(["simulate", "--validators", str(count)], capsys)

@@ -2,8 +2,8 @@
 reveal-phase oracle, field by field, on a small grid that covers the
 three security cases, a flip set cut at the cap, the broken-seed
 fallback, pareto balances and classic runs with a tail_limit or a tail
-cut at the cap; and grind's pruned scan against every mask counted in
-full."""
+cut at the cap; grind's pruned scan against every mask counted in full;
+and the library grinders against the trials where the cap cuts."""
 
 from hashlib import sha256
 
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from randaolab.adversary import (
     Strategy,
+    best_strategy,
     evaluate_strategy,
     grind,
     grind_inputs,
@@ -31,6 +32,7 @@ from randaolab.threshold_randao import (
     SHARES_PER_SECRET,
     adversary_flip_set,
     apply_flip_strategy,
+    best_flip_strategy,
     evaluate_flip_strategy,
     recover_all,
 )
@@ -200,6 +202,35 @@ def test_sss_trial_matches_reveal_phase_oracle():
         assert detail.recovery.broken == expected.broken
     assert cases == {"prevented", "broken", "collusion"}
     assert capped >= 1
+
+
+# Grid entries whose every epoch has a decision set wider than its cap.
+OVER_CAP = ("collusion-capped", "sss-pareto", "classic-cap")
+
+
+@pytest.mark.parametrize("name", OVER_CAP)
+def test_library_grinders_cut_as_the_trials_do(name):
+    # best_strategy and best_flip_strategy take the trial's budget and
+    # grind the same cut decision set instead of failing.
+    cfg = GRID[name]
+    for index in range(cfg.epochs):
+        if cfg.protocol == "sss":
+            detail = sss_trial_detail(cfg, index)
+            sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
+            full = adversary_flip_set(detail.observed, detail.profile, sss_cfg)
+            outcome = best_flip_strategy(
+                detail.observed, detail.profile, sss_cfg, detail.registry,
+                cap=cfg.strategy_cap,
+            )
+        else:
+            detail = classic_trial_detail(cfg, index)
+            full = tail_decision_slots(detail.state, detail.profile)
+            outcome = best_strategy(
+                detail.state, detail.profile, detail.registry,
+                cap=cfg.strategy_cap, tail_limit=cfg.tail_limit,
+            )
+        assert len(full) > cfg.strategy_cap == outcome.chosen.width
+        assert outcome == detail.outcome
 
 
 def _grind_matches_full_scan(grind_args):

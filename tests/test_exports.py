@@ -19,7 +19,8 @@ MODULES = (
 )
 
 # Wire codecs, wrapper types, the unused epoch pipeline, second XOR
-# folds and restated name lists that no caller needed.
+# folds, restated name lists that no caller needed, per-protocol
+# runners beside run_scenario, and the grinders' old over-budget error.
 REMOVED = (
     "ELEMENT_BYTES",
     "ENVELOPE_WIRE_BYTES",
@@ -29,6 +30,7 @@ REMOVED = (
     "SECONDS_PER_SLOT",
     "SHARE_WIRE_BYTES",
     "Secret",
+    "StrategyCapExceeded",
     "ZERO_MIX",
     "advance_pipeline",
     "decode",
@@ -41,6 +43,8 @@ REMOVED = (
     "finalize",
     "flip_decision_slots",
     "genesis_seed",
+    "run_classic",
+    "run_sss",
     "xor32",
 )
 

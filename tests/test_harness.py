@@ -8,6 +8,7 @@ import json
 import pytest
 
 from randaolab import harness
+from randaolab.adversary import AttackerProfile
 from randaolab.harness import (
     COLUMNS,
     EmitError,
@@ -18,9 +19,7 @@ from randaolab.harness import (
     classic_trial_detail,
     emit,
     report_row,
-    run_classic,
     run_scenario,
-    run_sss,
     sss_trial,
     sss_trial_detail,
     sweep,
@@ -161,6 +160,30 @@ def test_assign_attacker_skewed_balances():
     assert profile.stake_fraction == 0.5
 
 
+@pytest.mark.parametrize("target", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"validator_count": 50},
+        {"validator_count": 60, "balance_model": "pareto:1.5"},
+        {"validator_count": 3,
+         "balance_model": f"explicit:5,{MAX_EFFECTIVE_BALANCE},17"},
+    ],
+)
+def test_assign_attacker_matches_from_registry(changes, target):
+    cfg = ScenarioConfig(epochs=1, attacker_stake_fraction=target, **changes)
+    for index in range(3):
+        registry = build_registry(cfg, trial_rng(2, index))
+        profile = assign_attacker(cfg, registry)
+        expected = AttackerProfile.from_registry(
+            registry, sorted(profile.controlled)
+        )
+        assert profile.controlled == expected.controlled
+        assert profile.stake_fraction == expected.stake_fraction
+    assert (profile.controlled == frozenset()) == (target == 0.0)
+    assert (len(profile.controlled) == len(registry)) == (target == 1.0)
+
+
 # -- classic trials ------------------------------------------------------------
 
 def test_classic_trial_rows_are_deterministic_and_bounded():
@@ -178,7 +201,7 @@ def test_classic_trial_rows_are_deterministic_and_bounded():
 
 
 def test_classic_zero_attacker_has_zero_bias():
-    report = run_classic(small(attacker_stake_fraction=0.0, epochs=6))
+    report = run_scenario(small(attacker_stake_fraction=0.0, epochs=6))
     assert report.mean_attacker_slots == 0.0
     assert report.fair_share == 0.0
     assert report.bias_gain == 0.0
@@ -203,7 +226,7 @@ def test_tail_limit_widens_monotonically():
                 strategy_cap=12)
     means = []
     for limit in range(5):
-        report = run_classic(cfg.replace(tail_limit=limit))
+        report = run_scenario(cfg.replace(tail_limit=limit))
         means.append(report.mean_attacker_slots)
     assert means == sorted(means)
     assert means[0] < means[-1]  # some epoch has a usable tail
@@ -213,7 +236,7 @@ def test_tail_limit_widens_monotonically():
 
 def test_sss_full_participation_small_run():
     cfg = small(protocol="sss", attacker_stake_fraction=0.3, epochs=3)
-    report = run_sss(cfg)
+    report = run_scenario(cfg)
     assert report.cases_prevented == 3
     assert report.cases_broken == report.cases_collusion == 0
     assert report.recovery_failure_rate == 0.0
@@ -237,7 +260,7 @@ def test_sss_rows_pair_with_classic_draws():
 def test_sss_forced_breakdown_counts():
     cfg = small(protocol="sss", attacker_stake_fraction=0.3,
                 participation_rate=0.0, sss_threshold_n=31, epochs=3)
-    report = run_sss(cfg)
+    report = run_scenario(cfg)
     assert report.cases_broken == 3
     assert report.recovery_failure_rate == 1.0
     assert report.mean_decision_width == 0.0
@@ -258,18 +281,11 @@ def test_broken_seed_fallback_reuses_prior_seed():
         assert row.payoff == row.honest_payoff == expected
 
 
-def test_run_protocol_guards():
-    with pytest.raises(ConfigError):
-        run_classic(small(protocol="sss"))
-    with pytest.raises(ConfigError):
-        run_sss(small())
-
-
 # -- aggregation ----------------------------------------------------------------
 
 def test_strategy_histogram_sums_to_epochs():
-    report = run_classic(small(attacker_stake_fraction=0.3, epochs=12,
-                               rng_seed=2))
+    report = run_scenario(small(attacker_stake_fraction=0.3, epochs=12,
+                                rng_seed=2))
     total = sum(
         int(part.split(":")[1])
         for part in report.strategy_histogram.split(";")
@@ -279,41 +295,31 @@ def test_strategy_histogram_sums_to_epochs():
 
 
 def test_case_histogram_sums_to_epochs_for_sss():
-    report = run_sss(small(protocol="sss", attacker_stake_fraction=0.3,
-                           participation_rate=0.5, epochs=5))
+    report = run_scenario(small(protocol="sss", attacker_stake_fraction=0.3,
+                                participation_rate=0.5, epochs=5))
     assert sum(report.case_histogram.values()) == 5
 
 
 def test_single_epoch_has_zero_std_error():
-    report = run_classic(small(epochs=1))
+    report = run_scenario(small(epochs=1))
     assert report.std_error == 0.0
 
 
 def test_serial_and_parallel_reports_identical():
     cfg_c = small(attacker_stake_fraction=0.3, epochs=10, rng_seed=4)
-    assert run_classic(cfg_c) == run_classic(cfg_c, workers=2)
+    assert run_scenario(cfg_c) == run_scenario(cfg_c, workers=2)
     cfg_s = small(protocol="sss", attacker_stake_fraction=0.3, epochs=6,
                   rng_seed=4)
-    assert run_sss(cfg_s) == run_sss(cfg_s, workers=2)
+    assert run_scenario(cfg_s) == run_scenario(cfg_s, workers=2)
 
 
-@pytest.mark.parametrize(
-    "workers, cpus, epochs, expected",
-    [
-        (64, 8, 3, 3),  # epoch count
-        (64, 2, 10, 2),  # cpu count
-        (3, 8, 10, 3),  # as asked
-        (5, None, 10, None),  # cpu count unknown: serial
-        (8, 4, 1, None),  # one epoch: serial
-    ],
-)
-def test_trial_rows_clamp_workers(monkeypatch, workers, cpus, epochs,
-                                  expected):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps the process pool for one that runs the trials in this
+    process; returns the size asked of each pool opened."""
     requested = []
 
     class RecordingPool:
-        """Runs the trials in this process; records the pool size."""
-
         def __init__(self, max_workers):
             requested.append(max_workers)
 
@@ -327,10 +333,25 @@ def test_trial_rows_clamp_workers(monkeypatch, workers, cpus, epochs,
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return requested
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, epochs, expected",
+    [
+        (64, 8, 3, 3),  # epoch count
+        (64, 2, 10, 2),  # cpu count
+        (3, 8, 10, 3),  # as asked
+        (5, None, 10, None),  # cpu count unknown: serial
+        (8, 4, 1, None),  # one epoch: serial
+    ],
+)
+def test_trial_rows_clamp_workers(monkeypatch, pool_sizes, workers, cpus,
+                                  epochs, expected):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = small(epochs=epochs)
-    assert run_classic(cfg, workers=workers) == run_classic(cfg)
-    assert requested == ([] if expected is None else [expected])
+    assert run_scenario(cfg, workers=workers) == run_scenario(cfg)
+    assert pool_sizes == ([] if expected is None else [expected])
 
 
 def test_failure_rate_monotone_in_threshold():
@@ -340,7 +361,7 @@ def test_failure_rate_monotone_in_threshold():
     base = small(protocol="sss", attacker_stake_fraction=0.0,
                  participation_rate=0.6, epochs=15, rng_seed=6)
     rates = [
-        run_sss(base.replace(sss_threshold_n=n)).recovery_failure_rate
+        run_scenario(base.replace(sss_threshold_n=n)).recovery_failure_rate
         for n in (8, 16, 24)
     ]
     assert rates == sorted(rates)
@@ -349,7 +370,7 @@ def test_failure_rate_monotone_in_threshold():
 # -- report rows and emission -----------------------------------------------------
 
 def test_report_row_order_matches_columns():
-    report = run_classic(small(epochs=2))
+    report = run_scenario(small(epochs=2))
     row = report_row(report)
     assert list(row) == list(COLUMNS)
     assert row["protocol"] == "classic"
@@ -358,7 +379,7 @@ def test_report_row_order_matches_columns():
 
 
 def test_emit_csv_round_trip():
-    report = run_classic(small(attacker_stake_fraction=0.3, epochs=5))
+    report = run_scenario(small(attacker_stake_fraction=0.3, epochs=5))
     buffer = io.StringIO()
     emit(report, "csv", buffer)
     text = buffer.getvalue()
@@ -383,8 +404,8 @@ def test_emit_csv_empty_report_list():
 
 
 def test_emit_json_types():
-    report = run_sss(small(protocol="sss", epochs=2,
-                           attacker_stake_fraction=0.3))
+    report = run_scenario(small(protocol="sss", epochs=2,
+                                attacker_stake_fraction=0.3))
     buffer = io.StringIO()
     emit([report], "json", buffer)
     payload = json.loads(buffer.getvalue())
@@ -398,7 +419,7 @@ def test_emit_json_types():
 
 
 def test_emit_is_deterministic():
-    report = run_classic(small(attacker_stake_fraction=0.3, epochs=3))
+    report = run_scenario(small(attacker_stake_fraction=0.3, epochs=3))
     first, second = io.StringIO(), io.StringIO()
     emit(report, "csv", first)
     emit(report, "csv", second)
@@ -406,7 +427,7 @@ def test_emit_is_deterministic():
 
 
 def test_emit_to_path_and_errors(tmp_path):
-    report = run_classic(small(epochs=1))
+    report = run_scenario(small(epochs=1))
     out = tmp_path / "report.json"
     emit(report, "json", str(out))
     assert json.loads(out.read_text())[0]["epochs"] == 1
@@ -422,6 +443,27 @@ def test_sweep_single_cell_equals_run_scenario():
     base = small(attacker_stake_fraction=0.3, epochs=3)
     reports = sweep(base, [("rng_seed", [base.rng_seed])])
     assert reports == [run_scenario(base)]
+
+
+def test_sweep_opens_one_pool(monkeypatch, pool_sizes):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    base = small(attacker_stake_fraction=0.3, epochs=3)
+    axes = [("rng_seed", [1, 2, 3])]
+    reports = sweep(base, axes, workers=2)
+    assert pool_sizes == [2]
+    assert reports == sweep(base, axes)
+
+
+def test_sweep_pool_is_cut_to_the_largest_cell(monkeypatch, pool_sizes):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    sweep(small(), [("epochs", [1, 3, 2])], workers=8)
+    assert pool_sizes == [3]
+
+
+def test_parallel_sweep_matches_serial():
+    base = small(attacker_stake_fraction=0.3, epochs=3)
+    axes = [("protocol", ["classic", "sss"]), ("rng_seed", [1, 2])]
+    assert sweep(base, axes, workers=2) == sweep(base, axes)
 
 
 def test_sweep_grid_order_and_size():

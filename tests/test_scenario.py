@@ -49,6 +49,10 @@ def test_defaults():
          "validator_count": 2},
         {"balance_model": f"explicit:{MAX_EFFECTIVE_BALANCE // 256 - 1}",
          "validator_count": 1},
+        # One selectable validator among 40: each selection try accepts
+        # with chance 1/10240, below 1/512.
+        {"balance_model": "explicit:125000000" + ",1" * 39,
+         "validator_count": 40},
         {"attacker_stake_fraction": -0.1},
         {"attacker_stake_fraction": 1.5},
         {"protocol": "pos"},
@@ -226,6 +230,26 @@ def test_grid_cells_row_major():
         ("sss", 2),
     ]
     assert all(c.epochs == 1 for c in cells)
+
+
+def test_grid_cells_checks_its_size_before_building(monkeypatch):
+    built = []
+    original = ScenarioConfig.replace
+
+    def counting_replace(self, **changes):
+        built.append(changes)
+        return original(self, **changes)
+
+    monkeypatch.setattr(ScenarioConfig, "replace", counting_replace)
+    axes = [
+        ("rng_seed", list(range(10**5))),
+        ("epochs", list(range(1, 10**5 + 1))),
+    ]
+    with pytest.raises(ConfigError, match="cap"):
+        grid_cells(ScenarioConfig(), axes)
+    assert built == []
+    cells = grid_cells(ScenarioConfig(), [("rng_seed", [1, 2])])
+    assert len(cells) == len(built) == 2
 
 
 def test_grid_cells_validates_each_cell():

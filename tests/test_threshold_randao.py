@@ -7,7 +7,7 @@ from hashlib import sha256
 
 import pytest
 
-from randaolab.adversary import AttackerProfile, Strategy, StrategyCapExceeded
+from randaolab.adversary import AttackerProfile, Strategy
 from randaolab.field import FIELD_256, SharePoint
 from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
@@ -424,13 +424,21 @@ def test_best_flip_cap_and_budget():
     cfg = SssConfig(n, 31)
     state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
-    with pytest.raises(StrategyCapExceeded):
-        best_flip_strategy(state, profile, cfg, REGISTRY32, cap=8)
+    # The flip set is cut to its lowest min(cap, max_flips) slots, as
+    # the harness cuts it, instead of failing.
+    assert len(adversary_flip_set(state, profile, cfg)) > 8
+    capped = best_flip_strategy(state, profile, cfg, REGISTRY32, cap=8)
+    assert capped.chosen.width == 8
+    assert capped == best_flip_strategy(
+        state, profile, cfg, REGISTRY32, max_flips=8
+    )
     bounded = best_flip_strategy(
         state, profile, cfg, REGISTRY32, cap=8, max_flips=6
     )
     assert bounded.chosen.width == 6
     assert bounded.payoff >= bounded.honest_payoff
+    with pytest.raises(ValueError, match="cap"):
+        best_flip_strategy(state, profile, cfg, REGISTRY32, cap=-1)
 
 
 def test_budget_truncation_releases_out_of_budget_origins():
