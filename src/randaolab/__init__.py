@@ -28,6 +28,7 @@ from .randao import (
     SLOTS_PER_EPOCH,
     EpochState,
     ProtocolError,
+    Registry,
     SelectionError,
     Validator,
     acceptance_limits,
@@ -92,6 +93,7 @@ __all__ = [
     "PrimeField",
     "ProtocolError",
     "RecoveryOutcome",
+    "Registry",
     "RevealPhaseState",
     "ScenarioConfig",
     "SecurityCase",

@@ -6,13 +6,14 @@ two epochs later.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .randao import (
     SLOTS_PER_EPOCH,
     EpochState,
+    Registry,
     Validator,
-    acceptance_limits,
     count_selected,
     derive_seed,
     mix_reveals,
@@ -37,12 +38,12 @@ class AttackerProfile:
     def from_registry(
         cls, registry: Sequence[Validator], controlled: Sequence[int]
     ) -> "AttackerProfile":
+        balances = Registry.of(registry).balances
         indices = frozenset(controlled)
-        total = sum(v.effective_balance for v in registry)
-        if any(i < 0 or i >= len(registry) for i in indices):
+        if any(i < 0 or i >= len(balances) for i in indices):
             raise ValueError("controlled index outside registry")
-        held = sum(registry[i].effective_balance for i in indices)
-        return cls(indices, held / total if total else 0.0)
+        held = sum(balances[i] for i in indices)
+        return cls(indices, held / sum(balances))
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,22 @@ def _mask_seeds(
         yield derive_seed(mix.to_bytes(32, "big"), epoch)
 
 
+@lru_cache(maxsize=16)
+def _controlled_flags(controlled: frozenset[int], count: int) -> bytes:
+    """One flag per validator index below `count`: 1 if controlled.
+    A scenario's trials share one attacker set, so they share these."""
+    return bytes(index in controlled for index in range(count))
+
+
 def _selection_tables(
     registry: Sequence[Validator], controlled: frozenset[int]
-) -> tuple[list[int], list[bool]]:
-    """What count_selected needs of the registry, built once per grind:
-    its acceptance limits and a controlled flag per index."""
-    return acceptance_limits(registry), [
-        index in controlled for index in range(len(registry))
-    ]
+) -> tuple[Sequence[int], bytes]:
+    """What count_selected needs of the registry: its acceptance limits
+    and a controlled flag per index."""
+    registry = Registry.of(registry)
+    return registry.limits, _controlled_flags(
+        frozenset(controlled), len(registry)
+    )
 
 
 def mask_payoffs(

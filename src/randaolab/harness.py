@@ -19,7 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from hashlib import sha256
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -36,6 +36,7 @@ from .randao import (
     MAX_EFFECTIVE_BALANCE,
     SLOTS_PER_EPOCH,
     EpochState,
+    Registry,
     Validator,
     compute_reveal,
     derive_seed,
@@ -75,29 +76,49 @@ def trial_rng(rng_seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def build_registry(cfg: ScenarioConfig, rng: random.Random) -> list[Validator]:
-    model, arg = parse_balance_model(cfg.balance_model)
-    count = cfg.validator_count
+# Scenarios whose shared columns are kept at once.  A sweep runs its
+# cells one after another, so it needs one entry at a time.
+SCENARIO_CACHE_SIZE = 16
+
+
+class _Shared(NamedTuple):
+    """What every trial of a scenario shares: for uniform and explicit
+    balances, a validated registry of them under zero keys; for pareto,
+    the shape each trial draws its own balances with."""
+
+    registry: Optional[Registry]
+    pareto_shape: Optional[float]
+
+
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _shared(balance_model: str, validator_count: int) -> _Shared:
+    """The parsed balance model and, unless every trial draws its own
+    balances, their validated balance and limit columns."""
+    model, arg = parse_balance_model(balance_model)
     if model == "pareto":
-        validators = []
-        for i in range(count):
-            key = rng.randbytes(32)
-            # Heavy tail scaled into [MAX/32, MAX].
-            draw = rng.paretovariate(arg)
-            balance = min(
-                MAX_EFFECTIVE_BALANCE,
-                int(draw * (MAX_EFFECTIVE_BALANCE // 32)),
-            )
-            validators.append(Validator(i, key, balance))
-        return validators
-    # One draw of every key leaves the RNG where one draw per validator
-    # would, with the same bytes.
-    keys = rng.randbytes(32 * count)
-    balances = [MAX_EFFECTIVE_BALANCE] * count if model == "uniform" else arg
-    return [
-        Validator(i, keys[32 * i : 32 * i + 32], balances[i])
-        for i in range(count)
-    ]
+        return _Shared(None, arg)
+    balances = arg
+    if model == "uniform":
+        balances = [MAX_EFFECTIVE_BALANCE] * validator_count
+    return _Shared(Registry(bytes(32 * validator_count), balances), None)
+
+
+def build_registry(cfg: ScenarioConfig, rng: random.Random) -> Registry:
+    shared = _shared(cfg.balance_model, cfg.validator_count)
+    count = cfg.validator_count
+    if shared.registry is not None:
+        # One draw of every key leaves the RNG where one draw per
+        # validator would, with the same bytes.
+        return shared.registry.with_keys(rng.randbytes(32 * count))
+    keys = []
+    balances = []
+    unit = MAX_EFFECTIVE_BALANCE // 32
+    for _ in range(count):
+        keys.append(rng.randbytes(32))
+        # Heavy tail scaled into [MAX/32, MAX].
+        draw = rng.paretovariate(shared.pareto_shape)
+        balances.append(min(MAX_EFFECTIVE_BALANCE, int(draw * unit)))
+    return Registry(b"".join(keys), balances)
 
 
 def assign_attacker(
@@ -106,19 +127,19 @@ def assign_attacker(
     """Mark validators 0, 1, ... until the controlled balance reaches
     the target fraction; the achieved fraction is reported, not the
     target."""
-    total = sum(v.effective_balance for v in registry)
-    controlled = []
-    held = 0
-    for v in registry:
+    balances = Registry.of(registry).balances
+    total = sum(balances)
+    held = count = 0
+    for balance in balances:
         if held / total >= cfg.attacker_stake_fraction:
             break
-        controlled.append(v.index)
-        held += v.effective_balance
-    return AttackerProfile(frozenset(controlled), held / total)
+        held += balance
+        count += 1
+    return AttackerProfile(frozenset(range(count)), held / total)
 
 
 class ClassicTrialDetail(NamedTuple):
-    registry: list[Validator]
+    registry: Registry
     profile: AttackerProfile
     assignment_seed: bytes
     state: EpochState
@@ -127,7 +148,7 @@ class ClassicTrialDetail(NamedTuple):
 
 
 class SssTrialDetail(NamedTuple):
-    registry: list[Validator]
+    registry: Registry
     profile: AttackerProfile
     assignment_seed: bytes
     observed: RevealPhaseState
@@ -297,13 +318,10 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
     payoff = detail.outcome.payoff
     honest = detail.outcome.honest_payoff
     if detail.recovery.broken and cfg.broken_seed_fallback:
-        # Previous seed reused verbatim: the attacker gets whatever the
-        # unbiased schedule would give, no grinding surface.
-        payoff = honest = sum(
-            1
-            for v in select_proposers(detail.assignment_seed, detail.registry)
-            if v in detail.profile.controlled
-        )
+        # Previous seed reused verbatim: the attacker gets its slots in
+        # the unbiased schedule, no grinding surface.  That seed drew
+        # this epoch's own schedule, so those slots are h_slots.
+        payoff = honest = detail.h_slots
     unrecoverable = sum(1 for r in detail.recovery.per_slot if r is None)
     return TrialRow(
         payoff=payoff,

@@ -9,9 +9,10 @@ unique-per-(validator, epoch), unpredictable-without-the-key value.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from hashlib import sha256
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 SLOTS_PER_EPOCH = 32
 MAX_EFFECTIVE_BALANCE = 32 * 10**9
@@ -82,16 +83,85 @@ def derive_seed(mix: bytes, epoch: int) -> bytes:
     return sha256(DOMAIN_BEACON_PROPOSER + _le64(epoch) + mix).digest()
 
 
-def acceptance_limits(registry: Sequence[Validator]) -> list[int]:
-    """Per validator, 256 * effective_balance // MAX_EFFECTIVE_BALANCE.
+def balance_limits(balances: Iterable[int]) -> tuple[int, ...]:
+    """Per balance, 256 * balance // MAX_EFFECTIVE_BALANCE.
 
     A candidate drawn with acceptance byte d passes the spec's test
     (d + 1) * MAX_EFFECTIVE_BALANCE <= 256 * balance exactly when
     d < its limit; a limit of 0 (balance below MAX / 256) never passes.
     """
-    return [
-        256 * v.effective_balance // MAX_EFFECTIVE_BALANCE for v in registry
-    ]
+    return tuple([256 * b // MAX_EFFECTIVE_BALANCE for b in balances])
+
+
+class Registry(Sequence[Validator]):
+    """The validator set as validated columns: `keys` (the secret keys
+    concatenated, 32 bytes each), `balances` and their acceptance
+    `limits` (see balance_limits), all indexed by validator index.
+
+    The columns are checked and the limits computed once, when the
+    registry is built.  `registry[i]` is a validated Validator view;
+    two registries are equal when their columns are.
+    """
+
+    __slots__ = ("keys", "balances", "limits")
+
+    def __init__(self, keys: bytes, balances: Sequence[int]) -> None:
+        balances = tuple(balances)
+        if not balances:
+            raise ValueError("registry must be non-empty")
+        if not 1 <= min(balances) <= max(balances) <= MAX_EFFECTIVE_BALANCE:
+            raise ValueError("effective balance out of range")
+        self.balances = balances
+        self.limits = balance_limits(balances)
+        self.keys = self._checked_keys(keys)
+
+    @classmethod
+    def of(cls, registry: Sequence[Validator]) -> "Registry":
+        """`registry` itself if it is a Registry, else the Registry of
+        its validators' keys and balances, in order."""
+        if isinstance(registry, cls):
+            return registry
+        return cls(
+            b"".join(v.secret_key for v in registry),
+            [v.effective_balance for v in registry],
+        )
+
+    def with_keys(self, keys: bytes) -> "Registry":
+        """This registry's balance and limit columns under other keys;
+        only the keys' length is checked."""
+        other = object.__new__(type(self))
+        other.balances = self.balances
+        other.limits = self.limits
+        other.keys = self._checked_keys(keys)
+        return other
+
+    def _checked_keys(self, keys: bytes) -> bytes:
+        if len(keys) != 32 * len(self.balances):
+            raise ValueError("secret key must be 32 bytes")
+        return keys
+
+    def __len__(self) -> int:
+        return len(self.balances)
+
+    def __getitem__(self, index: int) -> Validator:
+        count = len(self.balances)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("validator index out of range")
+        key = self.keys[32 * index : 32 * index + 32]
+        return Validator(index, key, self.balances[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Registry):
+            return NotImplemented
+        return self.keys == other.keys and self.balances == other.balances
+
+
+def acceptance_limits(registry: Sequence[Validator]) -> list[int]:
+    """Per validator, its balance_limits entry: the limit the selection
+    loop compares each candidate's acceptance byte with."""
+    return list(Registry.of(registry).limits)
 
 
 # Hash suffix of each slot's first try: slot and counter 0, little-endian.
@@ -137,9 +207,7 @@ def select_proposers(
     effective_balance / MAX_EFFECTIVE_BALANCE (quantized to 1/256)."""
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes")
-    if not registry:
-        raise ValueError("registry must be non-empty")
-    return tuple(_proposers(seed, acceptance_limits(registry)))
+    return tuple(_proposers(seed, Registry.of(registry).limits))
 
 
 def count_selected(

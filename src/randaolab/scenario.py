@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .adversary import DEFAULT_STRATEGY_CAP
-from .randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH
+from .randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH, balance_limits
 
 
 class ConfigError(ValueError):
@@ -93,11 +93,12 @@ class ScenarioConfig:
                 "explicit balance list length must equal validator_count"
             )
         # A selection try accepts with chance sum(limits) / (256 N), the
-        # limits as in randao.acceptance_limits (0 below MAX/256).  From
+        # limits as in randao.balance_limits (0 below MAX/256).  From
         # 1/512 up, a slot runs out of its 10000 tries with chance < e^-19.
-        if model == "explicit" and 2 * sum(
-            256 * b // MAX_EFFECTIVE_BALANCE for b in arg
-        ) < self.validator_count:
+        if (
+            model == "explicit"
+            and 2 * sum(balance_limits(arg)) < self.validator_count
+        ):
             raise ConfigError(
                 "explicit balances leave proposer selection an acceptance "
                 "chance below 1/512 per try (a balance below MAX/256 = "

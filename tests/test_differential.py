@@ -3,7 +3,8 @@ reveal-phase oracle, field by field, on a small grid that covers the
 three security cases, a flip set cut at the cap, the broken-seed
 fallback, pareto balances and classic runs with a tail_limit or a tail
 cut at the cap; grind's pruned scan against every mask counted in full;
-and the library grinders against the trials where the cap cuts."""
+the library grinders against the trials where the cap cuts; and a
+column registry against the equal list of Validators."""
 
 from hashlib import sha256
 
@@ -20,12 +21,20 @@ from randaolab.adversary import (
     tail_decision_slots,
 )
 from randaolab.harness import (
+    build_registry,
     classic_trial,
     classic_trial_detail,
     sss_trial,
     sss_trial_detail,
+    trial_rng,
 )
-from randaolab.randao import MAX_EFFECTIVE_BALANCE, SelectionError, Validator
+from randaolab.randao import (
+    MAX_EFFECTIVE_BALANCE,
+    Registry,
+    SelectionError,
+    Validator,
+    select_proposers,
+)
 from randaolab.scenario import ScenarioConfig
 from randaolab.shamir import SssConfig
 from randaolab.threshold_randao import (
@@ -294,3 +303,35 @@ def test_grind_raises_on_a_starved_registry():
     ]
     with pytest.raises(SelectionError):
         grind(7, [1, 2], 0, registry, frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "balance_model",
+    ["pareto:1.5", "explicit:" + ",".join(
+        str(MAX_EFFECTIVE_BALANCE // d) for d in (1, 2, 3, 5, 8, 13, 200) * 4
+    )],
+    ids=["pareto", "explicit"],
+)
+def test_registry_and_validator_list_select_and_grind_alike(balance_model):
+    cfg = ScenarioConfig(
+        validator_count=28, balance_model=balance_model, epochs=1
+    )
+    registry = build_registry(cfg, trial_rng(6, 0))
+    validators = list(registry)
+    assert isinstance(registry, Registry)
+    assert type(validators) is list and registry == Registry.of(validators)
+    controlled = frozenset(range(0, len(registry), 3))
+    toggles = [int.from_bytes(sha256(b"t%d" % i).digest(), "big")
+               for i in range(4)]
+    for epoch in range(3):
+        seed = sha256(b"r%d" % epoch).digest()
+        assert select_proposers(seed, registry) == select_proposers(
+            seed, validators
+        )
+        args = (int.from_bytes(seed, "big"), toggles, epoch)
+        assert grind(*args, registry, controlled) == grind(
+            *args, validators, controlled
+        )
+        assert list(mask_payoffs(*args, registry, controlled)) == list(
+            mask_payoffs(*args, validators, controlled)
+        )

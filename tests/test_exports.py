@@ -74,8 +74,9 @@ def test_removed_names_stay_removed():
 
 
 def test_selection_kernel_is_exported():
-    # The grinding kernel's per-registry table and per-seed counter.
-    for name in ("acceptance_limits", "count_selected"):
+    # The column registry, the grinding kernel's per-registry table and
+    # its per-seed counter.
+    for name in ("Registry", "acceptance_limits", "count_selected"):
         assert name in randaolab.__all__
         assert getattr(randaolab, name) is getattr(randaolab.randao, name)
 

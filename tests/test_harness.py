@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from randaolab import harness
+from randaolab import harness, randao
 from randaolab.adversary import AttackerProfile
 from randaolab.harness import (
     COLUMNS,
@@ -25,7 +25,11 @@ from randaolab.harness import (
     sweep,
     trial_rng,
 )
-from randaolab.randao import MAX_EFFECTIVE_BALANCE, select_proposers
+from randaolab.randao import (
+    MAX_EFFECTIVE_BALANCE,
+    SLOTS_PER_EPOCH,
+    select_proposers,
+)
 from randaolab.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -182,6 +186,75 @@ def test_assign_attacker_matches_from_registry(changes, target):
         assert profile.stake_fraction == expected.stake_fraction
     assert (profile.controlled == frozenset()) == (target == 0.0)
     assert (len(profile.controlled) == len(registry)) == (target == 1.0)
+
+
+# -- per-scenario columns -----------------------------------------------------
+
+@pytest.fixture
+def construction_counts(monkeypatch):
+    """Counts of validated Validators and of limit columns built, from a
+    cold per-scenario cache."""
+    counts = {"validators": 0, "limits": 0}
+    check_validator = randao.Validator.__post_init__
+    balance_limits = randao.balance_limits
+
+    def counting_validator(self):
+        counts["validators"] += 1
+        check_validator(self)
+
+    def counting_limits(balances):
+        counts["limits"] += 1
+        return balance_limits(balances)
+
+    monkeypatch.setattr(randao.Validator, "__post_init__", counting_validator)
+    monkeypatch.setattr(randao, "balance_limits", counting_limits)
+    harness._shared.cache_clear()
+    return counts
+
+
+@pytest.mark.parametrize("trial", [classic_trial, sss_trial])
+def test_trials_share_their_scenarios_limits(construction_counts, trial):
+    cfg = ScenarioConfig(protocol=trial.__name__.split("_")[0],
+                         validator_count=200, epochs=4, rng_seed=3)
+    trial(cfg, 0)
+    assert construction_counts["limits"] == 1
+    for index in range(1, 4):
+        construction_counts["validators"] = 0
+        trial(cfg, index)
+        # One Validator view per proposer at most, never the registry.
+        assert construction_counts["validators"] <= SLOTS_PER_EPOCH
+    assert construction_counts["limits"] == 1
+
+
+def test_shared_columns_are_keyed_on_balance_model_and_count():
+    def columns(cfg):
+        registry = build_registry(cfg, trial_rng(cfg.rng_seed, 0))
+        return registry.balances, registry.limits
+
+    base = ScenarioConfig(validator_count=40, epochs=1, rng_seed=1)
+    first = columns(base)
+    for same in (base.replace(rng_seed=2),
+                 base.replace(attacker_stake_fraction=0.6)):
+        assert all(a is b for a, b in zip(first, columns(same)))
+    explicit = base.replace(
+        balance_model="explicit:" + ",".join([str(MAX_EFFECTIVE_BALANCE)] * 40)
+    )
+    for other in (base.replace(validator_count=41), explicit):
+        assert not any(a is b for a, b in zip(first, columns(other)))
+    assert columns(explicit) == first
+    # Pareto balances are drawn per trial, so nothing is shared.
+    pareto = base.replace(balance_model="pareto:1.5")
+    assert columns(pareto)[0] is not columns(pareto.replace(rng_seed=2))[0]
+
+
+def test_shared_cache_stays_bounded():
+    harness._shared.cache_clear()
+    bound = harness.SCENARIO_CACHE_SIZE
+    for count in range(1, bound + 6):
+        build_registry(ScenarioConfig(validator_count=count, epochs=1),
+                       trial_rng(0, 0))
+        assert harness._shared.cache_info().currsize <= bound
+    assert harness._shared.cache_info().currsize == bound
 
 
 # -- classic trials ------------------------------------------------------------

@@ -14,6 +14,7 @@ from randaolab.randao import (
     SLOTS_PER_EPOCH,
     EpochState,
     ProtocolError,
+    Registry,
     SelectionError,
     Validator,
     acceptance_limits,
@@ -200,6 +201,64 @@ def test_selection_weights_by_balance():
     # 3 sigma around 2/3 for a binomial with N = 12,800.
     sigma = (2 / 9 / total) ** 0.5
     assert abs(frequency - 2 / 3) <= 3 * sigma
+
+
+# -- the registry as columns -----------------------------------------------
+
+def test_registry_is_a_validated_validator_sequence():
+    validators = [
+        make_validator(i, balance=b)
+        for i, b in enumerate(
+            [1, MAX_EFFECTIVE_BALANCE // 2, MAX_EFFECTIVE_BALANCE]
+        )
+    ]
+    registry = Registry.of(validators)
+    assert Registry.of(registry) is registry
+    assert len(registry) == 3
+    assert list(registry) == validators
+    assert registry[1] == validators[1] and registry[-1] == validators[2]
+    with pytest.raises(IndexError):
+        registry[3]
+    with pytest.raises(IndexError):
+        registry[-4]
+    assert registry.keys == b"".join(v.secret_key for v in validators)
+    assert registry.balances == (1, MAX_EFFECTIVE_BALANCE // 2,
+                                 MAX_EFFECTIVE_BALANCE)
+    assert registry.limits == (0, 128, 256)
+    assert list(registry.limits) == acceptance_limits(validators)
+    # Equal columns, equal registries; one key or balance apart, not.
+    assert registry == Registry(registry.keys, list(registry.balances))
+    assert registry != Registry(bytes(96), registry.balances)
+    assert registry != Registry(registry.keys, (2,) + registry.balances[1:])
+    rekeyed = registry.with_keys(bytes(96))
+    assert rekeyed.balances is registry.balances
+    assert rekeyed.limits is registry.limits
+    assert rekeyed[0].secret_key == bytes(32)
+
+
+@pytest.mark.parametrize(
+    "keys, balances, message",
+    [
+        (b"", [], "non-empty"),
+        (bytes(31), [MAX_EFFECTIVE_BALANCE], "secret key"),
+        (bytes(33), [MAX_EFFECTIVE_BALANCE], "secret key"),
+        (bytes(32), [MAX_EFFECTIVE_BALANCE] * 2, "secret key"),
+        (bytes(64), [1, 0], "balance out of range"),
+        (bytes(64), [MAX_EFFECTIVE_BALANCE + 1, 1], "balance out of range"),
+    ],
+    ids=["empty", "short-key", "long-key", "too-few-keys", "balance-0",
+         "balance-max+1"],
+)
+def test_registry_rejects_bad_columns(keys, balances, message):
+    with pytest.raises(ValueError, match=message):
+        Registry(keys, balances)
+
+
+def test_registry_with_keys_checks_their_length():
+    registry = Registry(bytes(64), [1, MAX_EFFECTIVE_BALANCE])
+    for keys in (bytes(32), bytes(65)):
+        with pytest.raises(ValueError):
+            registry.with_keys(keys)
 
 
 # -- selection against the spec formula -------------------------------------
