@@ -31,7 +31,6 @@ from .randao import (
     Registry,
     SelectionError,
     Validator,
-    acceptance_limits,
     compute_reveal,
     count_selected,
     derive_seed,
@@ -104,7 +103,6 @@ __all__ = [
     "SssConfig",
     "Strategy",
     "Validator",
-    "acceptance_limits",
     "adversary_flip_set",
     "apply_flip_strategy",
     "best_flip_strategy",

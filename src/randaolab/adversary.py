@@ -263,8 +263,8 @@ def strategy_budget(cap: int, limit: Optional[int] = None) -> int:
     """How many decision slots a grinder keeps: at most `cap`, and at
     most `limit` when one is given.  Both protocols cut a wider
     decision set to this width rather than fail."""
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
+    if cap < 0 or (limit is not None and limit < 0):
+        raise ValueError("cap and limit must be >= 0")
     return cap if limit is None else min(cap, limit)
 
 

@@ -130,9 +130,7 @@ def _print_masks(detail, index: int, reveals, slots, verb: str) -> None:
 def _cmd_attack_demo(args: argparse.Namespace) -> int:
     if not 0 <= args.trial < 2**64:
         raise ConfigError("--trial must be in [0, 2^64)")
-    overrides = _overrides(args)
-    overrides["tail_limit"] = None
-    cfg = load_scenario(args.config, overrides)
+    cfg = load_scenario(args.config, _overrides(args))
     index = args.trial
     print(f"scenario: protocol={cfg.protocol} validators="
           f"{cfg.validator_count} stake={cfg.attacker_stake_fraction} "

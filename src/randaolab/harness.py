@@ -38,7 +38,6 @@ from .randao import (
     EpochState,
     Registry,
     Validator,
-    compute_reveal,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -57,7 +56,7 @@ from .threshold_randao import (
     SecurityCase,
     classify_security_case,
     distribute_shares,
-    flip_reveals,
+    mask0_recovery,
     run_reveal_phase,
 )
 
@@ -204,15 +203,13 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
     _, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
-    state = EpochState(index, proposers)
-    for slot, validator_index in enumerate(proposers):
-        if (
-            validator_index in participating
-            or validator_index in profile.controlled
-        ):
-            state.post_reveal(
-                slot, compute_reveal(registry[validator_index], index)
-            )
+    posted = [
+        registry.reveal(v, index)
+        if v in participating or v in profile.controlled
+        else None
+        for v in proposers
+    ]
+    state = EpochState(index, proposers, posted)
     decision = tail_decision_slots(
         state, profile, strategy_budget(cfg.strategy_cap, cfg.tail_limit)
     )
@@ -251,17 +248,17 @@ def classic_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
 
 def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     """One threshold-sharing epoch: full distribution, honest reveal
-    phase, one recovery pass, the rushing adversary grinding its
-    suppression mask, and classification.  The chosen mask leaves its
+    phase, the rushing adversary grinding its suppression mask, and
+    classification.  Share counts say which origins recover under
+    mask 0 (mask0_recovery); they recover the reveals their proposers
+    split, so nothing is interpolated.  The chosen mask leaves its
     withheld flip slots unrecovered; every other slot is as under
     mask 0."""
     rng, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
     sss_cfg = SssConfig(cfg.sss_threshold_n, SLOTS_PER_EPOCH - 1)
-    reveals = [
-        compute_reveal(registry[validator], index) for validator in proposers
-    ]
+    reveals = [registry.reveal(v, index) for v in proposers]
     envelopes = []
     for slot in range(SLOTS_PER_EPOCH):
         envelopes.extend(
@@ -277,9 +274,12 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         epoch=index,
     )
     h_slots = sum(1 for v in proposers if v in profile.controlled)
-    mask0_reveals, flip_slots = flip_reveals(
-        observed, profile, sss_cfg, cfg.strategy_cap
-    )
+    recovered, flip_slots = mask0_recovery(observed, profile, sss_cfg)
+    flip_slots = flip_slots[: cfg.strategy_cap]
+    mask0_reveals = [
+        reveal if slot in recovered else None
+        for slot, reveal in enumerate(reveals)
+    ]
     outcome = grind(
         *grind_inputs(mask0_reveals, flip_slots),
         index,
@@ -332,9 +332,7 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
         attacker_proposer_slots=detail.h_slots,
         case_label=detail.case.value,
         unrecoverable_slots=unrecoverable,
-        distributed_slots=len(
-            frozenset(e.origin_slot for e in detail.observed.envelopes)
-        ),
+        distributed_slots=SLOTS_PER_EPOCH,
         stake_fraction=detail.profile.stake_fraction,
     )
 

@@ -53,13 +53,15 @@ class Validator:
             raise ValueError("effective balance out of range")
 
 
-def compute_reveal(validator: Validator, epoch: int) -> bytes:
-    """Deterministic per-(validator, epoch) 32-byte reveal."""
+def _reveal(secret_key: bytes, epoch: int) -> bytes:
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return sha256(
-        validator.secret_key + _le64(epoch) + DOMAIN_RANDAO
-    ).digest()
+    return sha256(secret_key + _le64(epoch) + DOMAIN_RANDAO).digest()
+
+
+def compute_reveal(validator: Validator, epoch: int) -> bytes:
+    """Deterministic per-(validator, epoch) 32-byte reveal."""
+    return _reveal(validator.secret_key, epoch)
 
 
 def mix_reveals(posted: Sequence[Optional[bytes]]) -> bytes:
@@ -99,8 +101,9 @@ class Registry(Sequence[Validator]):
     `limits` (see balance_limits), all indexed by validator index.
 
     The columns are checked and the limits computed once, when the
-    registry is built.  `registry[i]` is a validated Validator view;
-    two registries are equal when their columns are.
+    registry is built.  `registry.reveal(i, epoch)` reads validator i's
+    reveal straight from the key column; `registry[i]` is a validated
+    Validator view.  Two registries are equal when their columns are.
     """
 
     __slots__ = ("keys", "balances", "limits")
@@ -143,25 +146,26 @@ class Registry(Sequence[Validator]):
     def __len__(self) -> int:
         return len(self.balances)
 
-    def __getitem__(self, index: int) -> Validator:
+    def _key(self, index: int) -> tuple[int, bytes]:
         count = len(self.balances)
         if index < 0:
             index += count
         if not 0 <= index < count:
             raise IndexError("validator index out of range")
-        key = self.keys[32 * index : 32 * index + 32]
+        return index, self.keys[32 * index : 32 * index + 32]
+
+    def __getitem__(self, index: int) -> Validator:
+        index, key = self._key(index)
         return Validator(index, key, self.balances[index])
+
+    def reveal(self, index: int, epoch: int) -> bytes:
+        """compute_reveal(self[index], epoch), without the view."""
+        return _reveal(self._key(index)[1], epoch)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Registry):
             return NotImplemented
         return self.keys == other.keys and self.balances == other.balances
-
-
-def acceptance_limits(registry: Sequence[Validator]) -> list[int]:
-    """Per validator, its balance_limits entry: the limit the selection
-    loop compares each candidate's acceptance byte with."""
-    return list(Registry.of(registry).limits)
 
 
 # Hash suffix of each slot's first try: slot and counter 0, little-endian.
@@ -214,7 +218,8 @@ def count_selected(
     seed: bytes, limits: Sequence[int], marked: Sequence[bool], floor: int
 ) -> int:
     """How many of the epoch's proposers under `seed` are marked, for
-    a registry given by its acceptance_limits and one flag per index.
+    a registry given by its acceptance limits (Registry.limits) and one
+    flag per index.
 
     The count is exact whenever it exceeds `floor`.  Otherwise counting
     may stop once the slots left cannot lift it above `floor`, and the

@@ -12,7 +12,7 @@ sealed_to validator until the reveal phase.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .adversary import (
@@ -198,16 +198,10 @@ def run_reveal_phase(
             raise ValueError("adversary released a share never distributed")
         if e.sealed_to not in adversarial:
             raise ValueError("adversary released a share it does not hold")
-    broadcast = honest_broadcast | frozenset(
-        (e.origin_slot, e.point, e.sealed_to) for e in released
-    )
-    return RevealPhaseState(
-        epoch=epoch,
-        proposer_by_slot=tuple(proposer_by_slot),
-        envelopes=envs,
-        participants=participants,
-        broadcast=broadcast,
-        t=t,
+    return replace(
+        observed,
+        broadcast=honest_broadcast
+        | frozenset((e.origin_slot, e.point, e.sealed_to) for e in released),
     )
 
 
@@ -217,13 +211,9 @@ def recover_all(state: RevealPhaseState, config: SssConfig) -> RecoveryOutcome:
     by_origin: dict[int, list[SharePoint]] = {}
     for origin, point, _ in state.broadcast:
         by_origin.setdefault(origin, []).append(point)
-    distributed = frozenset(e.origin_slot for e in state.envelopes)
 
     per_slot: list[Optional[bytes]] = []
     for slot in range(SLOTS_PER_EPOCH):
-        if slot not in distributed:
-            per_slot.append(None)
-            continue
         try:
             per_slot.append(recover(by_origin.get(slot, []), config))
         except (InsufficientShares, CorruptShares):
@@ -240,11 +230,14 @@ def recover_all(state: RevealPhaseState, config: SssConfig) -> RecoveryOutcome:
 def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
     """Place an epoch in the prevention / breakdown / collusion regime.
 
-    With t joined proposers the honest side holds t-ish shares of every
-    secret; n of them recover it.  Fewer than n joined: nothing is
-    recoverable.  At least n joined but fewer than n dishonest: the
-    adversary can neither learn secrets early nor block recovery.  n or
-    more dishonest: the adversary alone can recover, so it regains a
+    With t joined proposers, h of them the adversary's, each origin
+    gets t-h or t-h-1 honest shares; n shares recover it.  Fewer than n
+    joined: nothing is recoverable.  At least n joined but fewer than n
+    dishonest: the adversary cannot learn a secret early.  It can still
+    block recovery unless t-h-1 >= n, since an origin short of n honest
+    shares that its held shares top up is a flip slot: a "prevented"
+    epoch can carry bias below full participation.  n or more
+    dishonest: the adversary alone can recover, so it regains a
     withholding lever.
     """
     if n < 1:
@@ -372,37 +365,25 @@ def evaluate_flip_strategy(
     )
 
 
-def flip_reveals(
+def mask0_recovery(
     state: RevealPhaseState,
     attacker: AttackerProfile,
     config: SssConfig,
-    max_flips: Optional[int] = None,
-) -> tuple[list[Optional[bytes]], list[int]]:
-    """Per-slot reveals when the adversary plays mask 0, and the ordered
-    flip set cut to its `max_flips` lowest slots.
+) -> tuple[frozenset[int], list[int]]:
+    """The origins that recover when the adversary plays mask 0, and
+    the ascending flip set, from share counts alone.
 
-    Origins with >= n honest shares recover from those.  Flippable
-    origins recover from their honest shares plus the adversary's
-    lowest-x top-up (see _release_plan); every other origin stays
-    absent.  Each origin is recovered once; a mask then only toggles
-    flip slots' reveals out of the mix.
+    An origin recovers from >= n honest shares, or as a flip slot the
+    adversary tops up to n (see _release_plan); every other origin stays
+    absent.  Nothing is interpolated, so every origin is taken to have
+    split its reveal honestly; recover_all is the oracle that decodes.
     """
-    if max_flips is not None and max_flips < 0:
-        raise ValueError("max_flips must be >= 0")
     table = _origin_table(state, attacker, config)
     n = config.threshold_n
-    reveals: list[Optional[bytes]] = []
-    for slot in range(SLOTS_PER_EPOCH):
-        points = table.honest.get(slot, [])
-        if slot in table.flip:
-            top_up = table.held[slot][: n - len(points)]
-            points = points + [e.point for e in top_up]
-        try:
-            reveal = recover(points, config) if len(points) >= n else None
-        except CorruptShares:  # absent, as in recover_all
-            reveal = None
-        reveals.append(reveal)
-    return reveals, table.flip[:max_flips]
+    recovered = frozenset(table.flip).union(
+        origin for origin, points in table.honest.items() if len(points) >= n
+    )
+    return recovered, table.flip
 
 
 def best_flip_strategy(
@@ -419,13 +400,17 @@ def best_flip_strategy(
     Slots outside the flip set are out of the adversary's hands: origins
     with >= n honest shares recover regardless, the rest stay absent
     regardless, and flippable origins beyond the budget are released as
-    under mask 0.  Mask bit i suppresses flip slot i.
+    under mask 0.  Mask bit i suppresses flip slot i.  The reveals a
+    mask toggles are those recover_all decodes under mask 0.
     """
-    reveals, flip_slots = flip_reveals(
-        state, attacker, config, strategy_budget(cap, max_flips)
+    flip_slots = _origin_table(state, attacker, config).flip[
+        : strategy_budget(cap, max_flips)
+    ]
+    mask0 = apply_flip_strategy(
+        state, attacker, config, Strategy(0, len(flip_slots)), flip_slots
     )
     return grind(
-        *grind_inputs(reveals, flip_slots),
+        *grind_inputs(recover_all(mask0, config).per_slot, flip_slots),
         state.epoch,
         registry,
         attacker.controlled,

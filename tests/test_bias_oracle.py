@@ -1,0 +1,61 @@
+"""The classic beacon's bias against its closed form.
+
+With uniform balances every slot's proposer is the attacker's with
+probability q, its validator share, independently of the others.  The
+tail of attacker slots that ends the epoch has length h with
+P(h) = q^h (1 - q) for h < 32 and q^32 for h = 32.  The attacker grinds
+the last w = min(h, cap, tail_limit) of them: 2^w masks, each giving an
+independent Binomial(32, q) count in epoch+2, of which it keeps the
+largest.  Hence
+
+    E[payoff] = sum_h P(h) sum_{c < 32} (1 - F(c)^(2^w)),
+
+with F the Binomial(32, q) CDF.  run_scenario's mean must lie within
+4 standard errors of it.
+"""
+
+from math import comb
+from typing import Optional
+
+import pytest
+
+from randaolab.harness import run_scenario
+from randaolab.randao import SLOTS_PER_EPOCH
+from randaolab.scenario import ScenarioConfig
+
+
+def expected_payoff(q: float, cap: int, tail_limit: Optional[int]) -> float:
+    slots = SLOTS_PER_EPOCH
+    cdf = []
+    total = 0.0
+    for c in range(slots + 1):
+        total += comb(slots, c) * q**c * (1 - q) ** (slots - c)
+        cdf.append(total)
+    expected = 0.0
+    for h in range(slots + 1):
+        p_tail = q**h * (1 - q) if h < slots else q**slots
+        w = min(h, cap, slots if tail_limit is None else tail_limit)
+        expected += p_tail * sum(1 - cdf[c] ** (1 << w) for c in range(slots))
+    return expected
+
+
+def test_expected_payoff_without_grinding_is_the_fair_share():
+    for q in (0.0, 0.3, 0.5, 1.0):
+        assert expected_payoff(q, 0, None) == pytest.approx(32 * q)
+    # One more mask can only help.
+    assert expected_payoff(0.3, 1, None) > 32 * 0.3
+
+
+# At 3000 epochs each cell's mean lies 9 to 25 standard errors above
+# the fair share 32q, so a grinder that stopped grinding would fail.
+@pytest.mark.parametrize("cap, tail_limit", [(2, None), (8, None), (8, 1)])
+@pytest.mark.parametrize("stake", [0.3, 0.5])
+def test_classic_bias_matches_the_closed_form(stake, cap, tail_limit):
+    cfg = ScenarioConfig(
+        validator_count=40, attacker_stake_fraction=stake, epochs=3000,
+        strategy_cap=cap, tail_limit=tail_limit, rng_seed=17,
+    )
+    report = run_scenario(cfg)
+    expected = expected_payoff(report.achieved_stake_fraction, cap, tail_limit)
+    z = (report.mean_attacker_slots - expected) / report.std_error
+    assert abs(z) <= 4, (report.mean_attacker_slots, expected, z)

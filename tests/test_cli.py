@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from randaolab.cli import main
-from randaolab.harness import COLUMNS
-from randaolab.scenario import MAX_VALIDATORS
+from randaolab.harness import COLUMNS, classic_trial
+from randaolab.scenario import MAX_VALIDATORS, load_scenario
 
 BASE = ["--validators", "40", "--stake", "0.3", "--epochs", "3",
         "--seed", "1"]
@@ -255,6 +255,23 @@ def test_attack_demo_sss_trace(capsys):
     assert len(mask_lines) == 8
     assert sum(l.endswith("<- chosen") for l in mask_lines) == 1
     assert "unrecoverable slots after attack:" in out
+
+
+def test_attack_demo_replays_the_trial_under_a_tail_limit(tmp_path, capsys):
+    # Trial 1's tail has 5 slots; the config keeps only the last one.
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\nvalidator_count = 40\n"
+                    "attacker_stake_fraction = 0.7\nrng_seed = 1\n"
+                    "tail_limit = 1\n")
+    code, out, _ = run_main(
+        ["attack-demo", "--config", str(path), "--trial", "1"], capsys
+    )
+    assert code == 0
+    row = classic_trial(load_scenario(str(path)), 1)
+    width = row.decision_width
+    assert f"(h = {width}, 2^{width} = {1 << width} strategies)" in out
+    assert (f"honest payoff {row.honest_payoff}, best {row.payoff} "
+            f"(gain {row.payoff - row.honest_payoff})") in out
 
 
 @pytest.mark.parametrize("trial", ["-1", str(2**64), str(-(2**70))])

@@ -2,13 +2,16 @@
 aggregation exactness, serial/parallel equivalence, and report emission."""
 
 import csv
+import importlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from randaolab import harness, randao
+from randaolab import harness, randao, shamir
 from randaolab.adversary import AttackerProfile
+from randaolab.field import PrimeField
 from randaolab.harness import (
     COLUMNS,
     EmitError,
@@ -35,6 +38,8 @@ from randaolab.scenario import (
     ScenarioConfig,
     parse_balance_model,
 )
+from randaolab.shamir import SssConfig
+from randaolab.threshold_randao import recover_all
 
 
 def small(**changes):
@@ -226,6 +231,62 @@ def test_trials_share_their_scenarios_limits(construction_counts, trial):
     assert construction_counts["limits"] == 1
 
 
+# The cryptographic recovery and the per-validator reveal view, which
+# only the oracles use.
+ORACLE_ONLY = (
+    (shamir, "recover"),
+    (randao, "compute_reveal"),
+    (PrimeField, "interpolate_at_zero"),
+    (randao.Registry, "__getitem__"),
+)
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Calls of ORACLE_ONLY, wherever the package binds them."""
+    calls = Counter()
+    modules = [
+        importlib.import_module(f"randaolab.{name}")
+        for name in ("adversary", "cli", "field", "harness", "randao",
+                     "scenario", "shamir", "threshold_randao")
+    ]
+    for owner, name in ORACLE_ONLY:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_trials_leave_recovery_to_the_oracle(oracle_calls):
+    # sss epochs with flip sets cut at the cap, collusion among them,
+    # and classic tails below full participation.
+    cells = [
+        small(protocol="sss", participation_rate=0.5, sss_threshold_n=8,
+              strategy_cap=3, epochs=6),
+        small(protocol="sss", participation_rate=0.1, sss_threshold_n=4,
+              attacker_stake_fraction=0.3, strategy_cap=3),
+        small(attacker_stake_fraction=0.5, participation_rate=0.7,
+              epochs=6),
+    ]
+    reports = [run_scenario(cfg) for cfg in cells]
+    assert sum(r.cases_collusion for r in reports) > 0
+    assert sum(r.mean_decision_width for r in reports) > 0
+    assert oracle_calls == Counter()
+    # The oracle path is counted.
+    detail = sss_trial_detail(cells[0], 0)
+    recover_all(detail.observed, SssConfig(8, 31))
+    randao.compute_reveal(detail.registry[0], 0)
+    assert set(oracle_calls) == {name for _, name in ORACLE_ONLY}
+
+
 def test_shared_columns_are_keyed_on_balance_model_and_count():
     def columns(cfg):
         registry = build_registry(cfg, trial_rng(cfg.rng_seed, 0))
@@ -315,6 +376,26 @@ def test_sss_full_participation_small_run():
     assert report.recovery_failure_rate == 0.0
     assert report.mean_decision_width == 0.0
     assert report.bias_gain == report.mean_attacker_slots - report.fair_share
+
+
+def test_prevented_epochs_carry_bias_below_full_participation():
+    # "Prevented" (t >= n, h < n) only rules out early reads.  Honest
+    # shares alone reach n for every origin when t - h - 1 >= n; below
+    # that, a prevented epoch can have a flip set and gain slots.
+    cfg = ScenarioConfig(protocol="sss", validator_count=40,
+                         attacker_stake_fraction=0.2, participation_rate=0.7,
+                         sss_threshold_n=16, strategy_cap=8, rng_seed=5)
+    rows = [sss_trial(cfg, index) for index in range(10)]
+    assert {row.case_label for row in rows} == {"prevented"}
+    flipped = {
+        index: (row.decision_width, row.payoff - row.honest_payoff)
+        for index, row in enumerate(rows)
+        if row.decision_width
+    }
+    assert flipped == {0: (8, 4), 3: (8, 7), 4: (8, 7), 8: (8, 2)}
+    for index, row in enumerate(rows):
+        if row.joined_slots - row.attacker_proposer_slots - 1 >= 16:
+            assert index not in flipped
 
 
 def test_sss_rows_pair_with_classic_draws():

@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+private helper is left without a reader.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by
 a module-level import in src/randaolab/*.py (bar __init__.py, which
-imports to re-export) must be read somewhere in that module.
+imports to re-export) must be read somewhere in that module.  Every
+module-level private name (`_x`, not dunder) defined there must be read
+somewhere in the package, as a name or as an attribute.
 """
 
 import ast
@@ -12,11 +15,8 @@ import pytest
 
 import randaolab
 
-SOURCES = sorted(
-    path
-    for path in Path(randaolab.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(randaolab.__file__).parent.glob("*.py"))
+SOURCES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +48,60 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each module-level private name of `sources`
+    (module name -> source) that no module reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree) - read
+    )
+
+
+def test_checker_flags_unread_private_names():
+    sources = {
+        "a": (
+            "_used = 1\n"
+            "_orphan: int = 2\n"
+            "__version__ = '1'\n"
+            "def _helper():\n"
+            "    _local = _used\n"
+            "    return _local\n"
+            "class _Kept:\n"
+            "    def _method(self): ...\n"
+        ),
+        "b": "import a\nfrom a import _Kept\nx = (_Kept(), a._used)\n",
+    }
+    assert unread_private_names(sources) == ["a:_helper", "a:_orphan"]
+
+
+def test_package_has_no_unread_private_names():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in PACKAGE
+    }
+    assert unread_private_names(sources) == []

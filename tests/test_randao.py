@@ -17,7 +17,6 @@ from randaolab.randao import (
     Registry,
     SelectionError,
     Validator,
-    acceptance_limits,
     compute_reveal,
     count_selected,
     derive_seed,
@@ -76,6 +75,19 @@ def test_compute_reveal_determinism_and_distinctness():
     assert compute_reveal(a, 5) != compute_reveal(a, 6)
     with pytest.raises(ValueError):
         compute_reveal(a, -1)
+
+
+def test_registry_reveal_reads_the_key_column():
+    validators = [make_validator(i) for i in range(4)]
+    registry = Registry.of(validators)
+    for epoch in (0, 7, 2**40):
+        for v in validators:
+            assert registry.reveal(v.index, epoch) == compute_reveal(v, epoch)
+    assert registry.reveal(-1, 3) == compute_reveal(validators[3], 3)
+    with pytest.raises(IndexError):
+        registry.reveal(4, 0)
+    with pytest.raises(ValueError):
+        registry.reveal(0, -1)
 
 
 def test_derive_seed_matches_hash_oracle():
@@ -225,7 +237,6 @@ def test_registry_is_a_validated_validator_sequence():
     assert registry.balances == (1, MAX_EFFECTIVE_BALANCE // 2,
                                  MAX_EFFECTIVE_BALANCE)
     assert registry.limits == (0, 128, 256)
-    assert list(registry.limits) == acceptance_limits(validators)
     # Equal columns, equal registries; one key or balance apart, not.
     assert registry == Registry(registry.keys, list(registry.balances))
     assert registry != Registry(bytes(96), registry.balances)
@@ -297,7 +308,7 @@ def test_acceptance_limits_match_the_spec_test():
     registry = [
         make_validator(i, balance=b) for i, b in enumerate(BOUNDARY_BALANCES)
     ]
-    limits = acceptance_limits(registry)
+    limits = Registry.of(registry).limits
     for v, limit in zip(registry, limits):
         for d in range(256):
             assert (d < limit) == (
@@ -333,14 +344,14 @@ def test_select_matches_spec_oracle(registry):
 
 def test_all_zero_limit_registry_starves_both():
     registry = [make_validator(i, balance=UNIT - 1) for i in range(3)]
-    assert acceptance_limits(registry) == [0, 0, 0]
+    assert Registry.of(registry).limits == (0, 0, 0)
     seed = sha256(b"starved").digest()
     with pytest.raises(SelectionError):
         spec_select(seed, registry)
     with pytest.raises(SelectionError):
         select_proposers(seed, registry)
     with pytest.raises(SelectionError):
-        count_selected(seed, acceptance_limits(registry), [True] * 3, -1)
+        count_selected(seed, Registry.of(registry).limits, [True] * 3, -1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,7 +368,7 @@ def test_count_selected_is_exact_above_its_floor(seed, balances, marks, floor):
     registry = [make_validator(i, balance=b) for i, b in enumerate(balances)]
     marked = marks[: len(registry)]
     exact = sum(1 for c in select_proposers(seed, registry) if marked[c])
-    got = count_selected(seed, acceptance_limits(registry), marked, floor)
+    got = count_selected(seed, Registry.of(registry).limits, marked, floor)
     if exact > floor:
         assert got == exact
     else:

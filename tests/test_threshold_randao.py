@@ -6,6 +6,7 @@ import random
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randaolab.adversary import AttackerProfile, Strategy
 from randaolab.field import FIELD_256, SharePoint
@@ -29,7 +30,7 @@ from randaolab.threshold_randao import (
     classify_security_case,
     distribute_shares,
     evaluate_flip_strategy,
-    flip_reveals,
+    mask0_recovery,
     recover_all,
     run_reveal_phase,
     share_index,
@@ -287,13 +288,22 @@ def test_corrupt_origin_downgraded_to_unrecoverable():
     assert outcome.per_slot[1] == REVEALS[1]
 
 
-def test_flip_reveals_matches_recover_all_on_corrupt_origin():
+def test_best_flip_strategy_scores_a_corrupt_origin_as_absent():
+    # Share counts take origin 0 as recovered; only recover_all decodes,
+    # and the grinder scores mask 0 on the seed recover_all derives.
     cfg = SssConfig(2, 31)
     state = corrupt_origin_state(cfg)
-    reveals, flips = flip_reveals(state, AttackerProfile(frozenset(), 0.0), cfg)
-    assert reveals == list(recover_all(state, cfg).per_slot)
-    assert reveals[0] is None
-    assert flips == []
+    profile = attacker_profile(range(16))
+    recovered, flips = mask0_recovery(state, profile, cfg)
+    assert recovered == frozenset(range(32)) and flips == []
+    oracle = recover_all(state, cfg)
+    assert oracle.per_slot[0] is None
+    assert oracle.mix == mix_reveals([None] + REVEALS[1:])
+    outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
+    assert outcome.chosen == Strategy(0, 0)
+    assert outcome.honest_payoff == sum(
+        1 for v in select_proposers(oracle.seed, REGISTRY32) if v < 16
+    )
 
 
 def test_missing_distribution_marks_slot_unrecoverable():
@@ -371,12 +381,15 @@ def test_flip_decision_slots_order_and_budget():
     cfg = SssConfig(n, 31)
     state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
-    assert flip_reveals(state, profile, cfg)[1] == list(range(3, 31))
-    assert flip_reveals(state, profile, cfg, max_flips=5)[1] == [
-        3, 4, 5, 6, 7,
-    ]
+    # Origins 3..30 recover only as topped-up flip slots; 0..2 and 31
+    # fall short of n even with the adversary's shares.
+    recovered, flips = mask0_recovery(state, profile, cfg)
+    assert flips == list(range(3, 31))
+    assert recovered == frozenset(flips)
+    cut = best_flip_strategy(state, profile, cfg, REGISTRY32, max_flips=5)
+    assert cut.chosen.width == 5
     with pytest.raises(ValueError):
-        flip_reveals(state, profile, cfg, max_flips=-1)
+        best_flip_strategy(state, profile, cfg, REGISTRY32, max_flips=-1)
 
 
 def test_best_flip_empty_set_is_exactly_honest():
@@ -517,3 +530,66 @@ def test_prevention_theorem_randomized():
         outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
         assert outcome.payoff == outcome.honest_payoff
         assert outcome.chosen == Strategy(0, 0)
+
+
+# -- the slot-type share-count rule --------------------------------------------
+
+ATTACKER, PRESENT, ABSENT = "attacker", "present", "absent"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    types=st.lists(
+        st.sampled_from([ATTACKER, PRESENT, ABSENT]), min_size=12,
+        max_size=12,
+    ),
+    proposers=st.lists(st.integers(0, 11), min_size=32, max_size=32),
+    n=st.integers(1, 31),
+    seed=st.integers(0, 2**32),
+)
+def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
+    # Every slot distributes.  An origin of each slot type gets t-h,
+    # t-h-1 or t-h honest shares and the attacker holds h-1, h or h of
+    # its shares, whatever validator proposes which slots.
+    cfg = SssConfig(n, 31)
+    proposers = tuple(proposers)
+    reveals = [compute_reveal(REGISTRY32[v], 0) for v in proposers]
+    controlled = {v for v in range(12) if types[v] == ATTACKER}
+    present = {v for v in range(12) if types[v] == PRESENT}
+    state = phase(
+        full_envelopes(cfg, random.Random(seed), proposers, reveals),
+        present, adversary=controlled & set(proposers),
+        proposers=proposers,
+    )
+    profile = attacker_profile(controlled)
+    slot_type = [types[v] for v in proposers]
+    h = slot_type.count(ATTACKER)
+    t = h + slot_type.count(PRESENT)
+    assert state.t == t
+    honest = {ATTACKER: t - h, PRESENT: t - h - 1, ABSENT: t - h}
+    held = {ATTACKER: h - 1, PRESENT: h, ABSENT: h}
+
+    flips, recovered = [], set()
+    for origin, kind in enumerate(slot_type):
+        assert sum(1 for o, _, _ in state.broadcast if o == origin) == (
+            honest[kind]
+        )
+        assert sum(
+            1 for e in state.envelopes
+            if e.origin_slot == origin and e.sealed_to in controlled
+        ) == held[kind]
+        if honest[kind] >= n:
+            recovered.add(origin)
+        elif n <= honest[kind] + held[kind]:
+            flips.append(origin)
+            recovered.add(origin)
+
+    assert adversary_flip_set(state, profile, cfg) == set(flips)
+    assert mask0_recovery(state, profile, cfg) == (frozenset(recovered), flips)
+    # The cryptographic path recovers the same origins, to their reveals.
+    final = apply_flip_strategy(
+        state, profile, cfg, Strategy(0, len(flips)), flips
+    )
+    assert recover_all(final, cfg).per_slot == tuple(
+        reveals[o] if o in recovered else None for o in range(32)
+    )
