@@ -9,7 +9,7 @@ unique-per-(validator, epoch), unpredictable-without-the-key value.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from hashlib import sha256
 from typing import Optional
@@ -168,39 +168,58 @@ class Registry(Sequence[Validator]):
         return self.keys == other.keys and self.balances == other.balances
 
 
-# Hash suffix of each slot's first try: slot and counter 0, little-endian.
+# Hash suffix of a slot's try: slot and counter, little-endian.
+_TRY_SUFFIX = struct.Struct("<QQ").pack
+# Each slot's first try, counter 0.
 _FIRST_TRY_SUFFIX = tuple(
-    _le64(slot) + _le64(0) for slot in range(SLOTS_PER_EPOCH)
+    _TRY_SUFFIX(slot, 0) for slot in range(SLOTS_PER_EPOCH)
 )
 # A try's digest read as (big-endian candidate draw, acceptance byte).
 _DRAW = struct.Struct(">QB").unpack_from
 
 
-def _proposers(seed: bytes, limits: Sequence[int]) -> Iterator[int]:
-    """The selection loop: one proposer index per slot, in slot order.
+def _selection(
+    seed: bytes, limits: Sequence[int], marked: Sequence[bool], floor: int
+) -> tuple[int, list[int]]:
+    """The selection loop: the number of marked proposers and the
+    proposer indices, in slot order.
 
     Try `counter` of a slot hashes seed || slot || counter; the first 8
     digest bytes pick the candidate and byte 8 is its acceptance draw.
+    The loop stops after the slot whose unmarked proposer brings the
+    unmarked count to 32 - floor (at the first unmarked one when floor
+    is 32 or more); floor = -1 selects every slot.
     """
-    count = len(limits)
-    seeded = sha256(seed)
-    for slot in range(SLOTS_PER_EPOCH):
-        suffix = _FIRST_TRY_SUFFIX[slot]
-        # `counter` numbers the try after this one.
-        for counter in range(1, _SELECTION_TRY_LIMIT + 1):
-            hasher = seeded.copy()
+    size = len(limits)
+    try_limit = _SELECTION_TRY_LIMIT
+    fresh = sha256(seed).copy
+    proposers: list[int] = []
+    count = 0
+    misses = SLOTS_PER_EPOCH - floor
+    for slot, suffix in enumerate(_FIRST_TRY_SUFFIX):
+        counter = 0
+        while True:
+            hasher = fresh()
             hasher.update(suffix)
             draw, byte = _DRAW(hasher.digest())
-            candidate = draw % count
+            candidate = draw % size
             if byte < limits[candidate]:
-                yield candidate
                 break
-            suffix = _le64(slot) + _le64(counter)
+            counter += 1
+            if counter == try_limit:
+                raise SelectionError(
+                    f"no candidate accepted for slot {slot} after "
+                    f"{try_limit} tries"
+                )
+            suffix = _TRY_SUFFIX(slot, counter)
+        proposers.append(candidate)
+        if marked[candidate]:
+            count += 1
         else:
-            raise SelectionError(
-                f"no candidate accepted for slot {slot} after "
-                f"{_SELECTION_TRY_LIMIT} tries"
-            )
+            misses -= 1
+            if misses <= 0:
+                break
+    return count, proposers
 
 
 def select_proposers(
@@ -211,7 +230,9 @@ def select_proposers(
     effective_balance / MAX_EFFECTIVE_BALANCE (quantized to 1/256)."""
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes")
-    return tuple(_proposers(seed, Registry.of(registry).limits))
+    limits = Registry.of(registry).limits
+    # Nothing marked; floor -1 selects every slot.
+    return tuple(_selection(seed, limits, bytes(len(limits)), -1)[1])
 
 
 def count_selected(
@@ -219,25 +240,21 @@ def count_selected(
 ) -> int:
     """How many of the epoch's proposers under `seed` are marked, for
     a registry given by its acceptance limits (Registry.limits) and one
-    flag per index.
+    flag per index: `marked` must be as long as `limits`.
 
     The count is exact whenever it exceeds `floor`.  Otherwise counting
-    may stop once the slots left cannot lift it above `floor`, and the
-    result is then some value <= floor; floor = -1 always counts every
-    slot.
+    stops at the slot whose proposer is the (32 - floor)-th unmarked
+    one, since the slots left cannot lift the count above `floor`, and
+    the result is the marked count up to there, some value <= floor;
+    floor = -1 always counts every slot.
     """
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes")
     if not limits:
         raise ValueError("registry must be non-empty")
-    count = 0
-    left = SLOTS_PER_EPOCH
-    for candidate in _proposers(seed, limits):
-        count += marked[candidate]
-        left -= 1
-        if count + left <= floor:
-            break
-    return count
+    if len(marked) != len(limits):
+        raise ValueError("need one marked flag per acceptance limit")
+    return _selection(seed, limits, marked, floor)[0]
 
 
 @dataclass

@@ -12,24 +12,38 @@ largest.  Hence
 
 with F the Binomial(32, q) CDF.  run_scenario's mean must lie within
 4 standard errors of it.
+
+The sss beacon at full participation has every one of the 32 proposers
+join, h ~ Binomial(32, q) of them the attacker's.  An epoch is
+collusion exactly when h >= n, so the collusion fraction must lie
+within 4 standard errors of P(Binomial(32, q) >= n).  Every other epoch
+is prevented, and for n <= 16 each of its origins keeps at least
+31 - h >= n honest shares, so the attacker has nothing to flip and
+gains nothing.
 """
 
-from math import comb
+from math import comb, sqrt
 from typing import Optional
 
 import pytest
 
-from randaolab.harness import run_scenario
+from randaolab.harness import run_scenario, sss_trial
 from randaolab.randao import SLOTS_PER_EPOCH
 from randaolab.scenario import ScenarioConfig
+
+
+def binomial_pmf(q: float) -> list[float]:
+    slots = SLOTS_PER_EPOCH
+    return [comb(slots, c) * q**c * (1 - q) ** (slots - c)
+            for c in range(slots + 1)]
 
 
 def expected_payoff(q: float, cap: int, tail_limit: Optional[int]) -> float:
     slots = SLOTS_PER_EPOCH
     cdf = []
     total = 0.0
-    for c in range(slots + 1):
-        total += comb(slots, c) * q**c * (1 - q) ** (slots - c)
+    for p in binomial_pmf(q):
+        total += p
         cdf.append(total)
     expected = 0.0
     for h in range(slots + 1):
@@ -59,3 +73,27 @@ def test_classic_bias_matches_the_closed_form(stake, cap, tail_limit):
     expected = expected_payoff(report.achieved_stake_fraction, cap, tail_limit)
     z = (report.mean_attacker_slots - expected) / report.std_error
     assert abs(z) <= 4, (report.mean_attacker_slots, expected, z)
+
+
+# 600 epochs of 200 validators at rng_seed 17: the three cells read
+# z = +0.78, -0.82 and -0.54.
+@pytest.mark.parametrize("stake, n", [(0.3, 12), (0.5, 16), (0.2, 8)])
+def test_sss_collusion_fraction_matches_the_binomial_tail(stake, n):
+    cfg = ScenarioConfig(
+        protocol="sss", attacker_stake_fraction=stake, sss_threshold_n=n,
+        participation_rate=1.0, strategy_cap=2, epochs=600, rng_seed=17,
+    )
+    rows = [sss_trial(cfg, index) for index in range(cfg.epochs)]
+    q = rows[0].stake_fraction
+    assert all(row.stake_fraction == q for row in rows)
+    expected = sum(binomial_pmf(q)[n:])
+    collusion = sum(row.case_label == "collusion" for row in rows)
+    z = (collusion / cfg.epochs - expected) / sqrt(
+        expected * (1 - expected) / cfg.epochs
+    )
+    assert abs(z) <= 4, (collusion, expected, z)
+    prevented = [row for row in rows if row.case_label == "prevented"]
+    assert len(prevented) + collusion == cfg.epochs
+    for row in prevented:
+        assert row.decision_width == 0
+        assert row.payoff == row.honest_payoff

@@ -7,6 +7,7 @@ from hashlib import sha256
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randaolab import randao
 from randaolab.randao import (
     DOMAIN_BEACON_PROPOSER,
     DOMAIN_RANDAO,
@@ -274,13 +275,14 @@ def test_registry_with_keys_checks_their_length():
 
 # -- selection against the spec formula -------------------------------------
 
-def spec_select(seed, registry):
+def spec_select(seed, registry, try_limit=10_000):
     """Literal spec selection: try `counter` of a slot hashes
     seed || slot || counter and accepts candidate c when
-    (digest[8] + 1) * MAX <= 256 * balance(c), within 10 000 tries."""
+    (digest[8] + 1) * MAX <= 256 * balance(c), within `try_limit`
+    tries."""
     out = []
     for slot in range(32):
-        for counter in range(10_000):
+        for counter in range(try_limit):
             digest = sha256(
                 seed + slot.to_bytes(8, "little")
                 + counter.to_bytes(8, "little")
@@ -293,6 +295,20 @@ def spec_select(seed, registry):
         else:
             raise SelectionError(f"slot {slot} starved")
     return tuple(out)
+
+
+def spec_count(proposers, marked, floor=-1):
+    """Marked proposers in slot order, up to and including the slot
+    whose proposer is the (32 - floor)-th unmarked one."""
+    count = unmarked = 0
+    for candidate in proposers:
+        if marked[candidate]:
+            count += 1
+        else:
+            unmarked += 1
+            if unmarked == SLOTS_PER_EPOCH - floor:
+                break
+    return count
 
 
 UNIT = MAX_EFFECTIVE_BALANCE // 256  # the smallest selectable balance
@@ -337,9 +353,44 @@ def _pareto_registry(index):
     ids=["pareto-0", "pareto-1", "boundary", "one-selectable"],
 )
 def test_select_matches_spec_oracle(registry):
+    limits = Registry.of(registry).limits
+    marked = [index % 3 == 0 for index in range(len(registry))]
     for i in range(40):
         seed = sha256(b"spec%d" % i).digest()
-        assert select_proposers(seed, registry) == spec_select(seed, registry)
+        expected = spec_select(seed, registry)
+        assert select_proposers(seed, registry) == expected
+        assert count_selected(seed, limits, marked, -1) == spec_count(
+            expected, marked
+        )
+
+
+# One selectable validator among four, accepted on about 1 try in 128.
+# Under this seed slot 0 needs more tries than any other slot: its
+# candidate is first accepted on try RETRY_TRIES + 1.
+RETRY_REGISTRY = [make_validator(0, balance=8 * UNIT)] + [
+    make_validator(i, balance=UNIT - 1) for i in range(1, 4)
+]
+RETRY_SEED = sha256(b"retry13").digest()
+RETRY_TRIES = 357
+
+
+def test_selection_gives_up_after_exactly_the_try_limit(monkeypatch):
+    registry, seed, k = RETRY_REGISTRY, RETRY_SEED, RETRY_TRIES
+    with pytest.raises(SelectionError, match="slot 0 "):
+        spec_select(seed, registry, try_limit=k)
+    expected = spec_select(seed, registry, try_limit=k + 1)
+    limits = Registry.of(registry).limits
+    marked = [True, False, True, False]
+    monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", k)
+    with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
+        select_proposers(seed, registry)
+    with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
+        count_selected(seed, limits, marked, -1)
+    monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", k + 1)
+    assert select_proposers(seed, registry) == expected
+    assert count_selected(seed, limits, marked, -1) == spec_count(
+        expected, marked
+    )
 
 
 def test_all_zero_limit_registry_starves_both():
@@ -380,6 +431,37 @@ def test_count_selected_validation():
         count_selected(b"\x00" * 31, [256], [True], -1)
     with pytest.raises(ValueError):
         count_selected(b"\x00" * 32, [], [], -1)
+    # One flag per limit, whichever candidate is drawn first.
+    for floor in (-1, 31):
+        for marked in ([True], [True] * 201):
+            with pytest.raises(ValueError, match="marked flag"):
+                count_selected(b"\x00" * 32, (256,) * 200, marked, floor)
+
+
+@pytest.mark.parametrize(
+    "registry",
+    [
+        _pareto_registry(0),
+        [make_validator(i, balance=b)
+         for i, b in enumerate(BOUNDARY_BALANCES)],
+    ],
+    ids=["pareto-0", "boundary"],
+)
+def test_count_selected_stops_where_the_floor_is_out_of_reach(registry):
+    # At or below its floor, the count stops at the slot that brings the
+    # unmarked proposers to 32 - floor; above it, every slot counts.
+    limits = Registry.of(registry).limits
+    marked = [index % 3 == 0 for index in range(len(registry))]
+    cut_short = 0
+    for i in range(20):
+        seed = sha256(b"floor%d" % i).digest()
+        proposers = spec_select(seed, registry)
+        exact = spec_count(proposers, marked)
+        for floor in range(-1, SLOTS_PER_EPOCH):
+            expected = spec_count(proposers, marked, floor)
+            assert count_selected(seed, limits, marked, floor) == expected
+            cut_short += expected < exact
+    assert cut_short >= 100
 
 
 # -- epoch state ------------------------------------------------------------
