@@ -268,7 +268,6 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     observed = run_reveal_phase(
         envelopes,
         participating,
-        None,
         adversary_participants=adversary_validators,
         proposer_by_slot=proposers,
         epoch=index,

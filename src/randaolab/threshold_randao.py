@@ -12,8 +12,9 @@ sealed_to validator until the reveal phase.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Iterable, Optional, Sequence
 
 from .adversary import (
     DEFAULT_STRATEGY_CAP,
@@ -24,7 +25,7 @@ from .adversary import (
     grind_inputs,
     strategy_budget,
 )
-from .field import FIELD_256, SharePoint
+from .field import SharePoint
 from .randao import (
     SLOTS_PER_EPOCH,
     Validator,
@@ -39,7 +40,7 @@ from .shamir import (
     SssConfig,
     SYSTEM_ENTROPY,
     recover,
-    split_element,
+    split,
 )
 
 SHARES_PER_SECRET = 31
@@ -83,19 +84,20 @@ class ShareEnvelope:
 
 @dataclass(frozen=True)
 class RevealPhaseState:
-    """Everything observable once the reveal phase closes.
+    """Everything observable once the reveal phase closes, per origin.
 
-    broadcast entries are (origin_slot, point, revealer); participants
-    are the validator indices present in the reveal phase (honest
-    participants plus the adversary's); t counts slots whose proposer
-    both distributed and participates.
+    shares[o] holds origin o's envelopes in ascending share index
+    (empty if o never distributed) and broadcast[o] the points of those
+    broadcast; participants are the validator indices present in the
+    reveal phase (honest participants plus the adversary's); t counts
+    slots whose proposer both distributed and participates.
     """
 
     epoch: int
     proposer_by_slot: tuple[int, ...]
-    envelopes: tuple[ShareEnvelope, ...]
+    shares: tuple[tuple[ShareEnvelope, ...], ...]
     participants: frozenset[int]
-    broadcast: frozenset[tuple[int, SharePoint, int]]
+    broadcast: tuple[tuple[SharePoint, ...], ...]
     t: int
 
 
@@ -130,92 +132,86 @@ def distribute_shares(
     if len(proposers) != SLOTS_PER_EPOCH:
         raise ValueError("need one proposer per slot")
     # share_index maps the recipients, in ascending order, onto the
-    # x = 1..31 that split_element shares at.
+    # x = 1..31 that split shares at.
     recipients = [s for s in range(SLOTS_PER_EPOCH) if s != slot]
-    points = split_element(
-        FIELD_256.element(FIELD_256.embed32(reveal)), config, entropy
-    )
     return [
         ShareEnvelope(slot, r, p, proposers[r])
-        for r, p in zip(recipients, points)
+        for r, p in zip(recipients, split(reveal, config, entropy))
     ]
-
-
-AdversaryDecision = Callable[[RevealPhaseState], Iterable[ShareEnvelope]]
 
 
 def run_reveal_phase(
     envelopes: Iterable[ShareEnvelope],
     honest_participants: Iterable[int],
-    adversary_decision: Optional[AdversaryDecision] = None,
+    released: Iterable[ShareEnvelope] = (),
     *,
     adversary_participants: Iterable[int] = (),
     proposer_by_slot: Sequence[int],
     epoch: int,
 ) -> RevealPhaseState:
-    """Simultaneous honest broadcast, then the adversary's move.
+    """Simultaneous honest broadcast plus the adversary's release.
 
-    Honest participants broadcast every share sealed to them.  The
-    adversary observes the complete honest broadcast set first (rushing
-    model) and then chooses which of its held envelopes to release;
-    adversary participants count as present even when they release
-    nothing, since they did distribute and show up.
+    Honest participants broadcast every share sealed to them; the
+    adversary broadcasts the held envelopes in `released`, chosen after
+    observing the honest broadcast (rushing model; apply_flip_strategy
+    plans it).  Adversary participants count as present even when they
+    release nothing, since they did distribute and show up.  An
+    envelope listed twice is read once; two different envelopes at one
+    (origin, share index) are rejected.
     """
-    envs = tuple(envelopes)
     honest = frozenset(honest_participants)
     adversarial = frozenset(adversary_participants)
     if honest & adversarial:
         raise ValueError("a validator cannot be both honest and adversarial")
 
-    participants = honest | adversarial
-    distributed = frozenset(e.origin_slot for e in envs)
-    t = sum(
-        1
-        for slot in range(SLOTS_PER_EPOCH)
-        if slot in distributed and proposer_by_slot[slot] in participants
-    )
-
-    honest_broadcast = frozenset(
-        (e.origin_slot, e.point, e.sealed_to)
-        for e in envs
-        if e.sealed_to in honest
-    )
-    observed = RevealPhaseState(
-        epoch=epoch,
-        proposer_by_slot=tuple(proposer_by_slot),
-        envelopes=envs,
-        participants=participants,
-        broadcast=honest_broadcast,
-        t=t,
-    )
-    if adversary_decision is None:
-        return observed
-
-    released = list(adversary_decision(observed))
-    env_set = set(envs)
+    # grid[o][x]: origin o's envelope at share index x = 1..31.
+    grid: list[list[Optional[ShareEnvelope]]] = [
+        [None] * (SHARES_PER_SECRET + 1) for _ in range(SLOTS_PER_EPOCH)
+    ]
+    for e in envelopes:
+        row = grid[e.origin_slot]
+        if row[e.point.x] is None:
+            row[e.point.x] = e
+        elif row[e.point.x] != e:
+            raise ValueError("two different envelopes at one share index")
+    revealed: set[tuple[int, int]] = set()
     for e in released:
-        if e not in env_set:
+        if grid[e.origin_slot][e.point.x] != e:
             raise ValueError("adversary released a share never distributed")
         if e.sealed_to not in adversarial:
             raise ValueError("adversary released a share it does not hold")
-    return replace(
-        observed,
-        broadcast=honest_broadcast
-        | frozenset((e.origin_slot, e.point, e.sealed_to) for e in released),
+        revealed.add((e.origin_slot, e.point.x))
+
+    shares = tuple(tuple(e for e in row if e is not None) for row in grid)
+    participants = honest | adversarial
+    return RevealPhaseState(
+        epoch=epoch,
+        proposer_by_slot=tuple(proposer_by_slot),
+        shares=shares,
+        participants=participants,
+        broadcast=tuple(
+            tuple(
+                e.point
+                for e in row
+                if e.sealed_to in honest or (origin, e.point.x) in revealed
+            )
+            for origin, row in enumerate(shares)
+        ),
+        t=sum(
+            1
+            for slot, row in enumerate(shares)
+            if row and proposer_by_slot[slot] in participants
+        ),
     )
 
 
 def recover_all(state: RevealPhaseState, config: SssConfig) -> RecoveryOutcome:
     """Recover every slot with >= n broadcast shares; the rest are
     treated as absent proposers (zero contribution to the mix)."""
-    by_origin: dict[int, list[SharePoint]] = {}
-    for origin, point, _ in state.broadcast:
-        by_origin.setdefault(origin, []).append(point)
-
     per_slot: list[Optional[bytes]] = []
-    for slot in range(SLOTS_PER_EPOCH):
+    for points in state.broadcast:
         try:
-            per_slot.append(recover(by_origin.get(slot, []), config))
+            per_slot.append(recover(points, config))
         except (InsufficientShares, CorruptShares):
             per_slot.append(None)
     mix = mix_reveals(per_slot)
@@ -251,36 +247,24 @@ def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
     return SecurityCase.COLLUSION
 
 
-class _OriginTable(NamedTuple):
-    """Per-origin view of the honest-only reveal phase."""
-
-    honest: dict[int, list[SharePoint]]  # broadcast points
-    held: dict[int, list[ShareEnvelope]]  # adversary-held, ascending x
-    flip: list[int]  # ascending flip set
-
-
 def _origin_table(
     state: RevealPhaseState,
     attacker: AttackerProfile,
     config: SssConfig,
-) -> _OriginTable:
-    honest: dict[int, list[SharePoint]] = {}
-    for origin, point, revealer in state.broadcast:
-        if revealer not in state.participants:
-            raise ValueError("broadcast from a non-participant")
-        honest.setdefault(origin, []).append(point)
-    held: dict[int, list[ShareEnvelope]] = {}
-    for e in state.envelopes:
-        if e.sealed_to in attacker.controlled:
-            held.setdefault(e.origin_slot, []).append(e)
+) -> tuple[list[tuple[ShareEnvelope, ...]], list[int]]:
+    """Adversary-held envelopes per origin, in ascending x, and the
+    ascending flip set of the honest-only view `state`."""
+    held = [
+        tuple(e for e in row if e.sealed_to in attacker.controlled)
+        for row in state.shares
+    ]
     n = config.threshold_n
-    flip = []
-    for origin in sorted(held):
-        held[origin].sort(key=lambda e: e.point.x)
-        have = len(honest.get(origin, ()))
-        if have < n <= have + len(held[origin]):
-            flip.append(origin)
-    return _OriginTable(honest, held, flip)
+    flip = [
+        origin
+        for origin, (points, mine) in enumerate(zip(state.broadcast, held))
+        if len(points) < n <= len(points) + len(mine)
+    ]
+    return held, flip
 
 
 def adversary_flip_set(
@@ -294,32 +278,8 @@ def adversary_flip_set(
     The state must be the honest-only view (before any adversary
     release), i.e. what a rushing adversary observes.
     """
-    return set(_origin_table(state, attacker, config).flip)
-
-
-def _release_plan(
-    state: RevealPhaseState,
-    attacker: AttackerProfile,
-    config: SssConfig,
-    strategy: Strategy,
-    flip_slots: Sequence[int],
-) -> list[ShareEnvelope]:
-    """Envelopes the adversary releases under `strategy`.
-
-    Withheld flip slots get nothing; every other flippable origin —
-    non-withheld flip slots and any flippable origin outside the
-    (possibly budget-truncated) flip_slots list — is topped up to n
-    with the adversary's lowest-x held shares.  Mask 0 therefore
-    reproduces honest behavior exactly.
-    """
-    table = _origin_table(state, attacker, config)
-    withheld = set(strategy.withheld(flip_slots))
-    released = []
-    for origin in table.flip:
-        if origin not in withheld:
-            need = config.threshold_n - len(table.honest.get(origin, ()))
-            released.extend(table.held[origin][:need])
-    return released
+    _, flip = _origin_table(state, attacker, config)
+    return set(flip)
 
 
 def apply_flip_strategy(
@@ -330,19 +290,35 @@ def apply_flip_strategy(
     flip_slots: Optional[Sequence[int]] = None,
 ) -> RevealPhaseState:
     """Re-run the reveal phase with the adversary playing `strategy`
-    over `flip_slots` (default: the full ordered flip set)."""
-    if flip_slots is None:
-        flip_slots = _origin_table(state, attacker, config).flip
-    honest = state.participants - attacker.controlled
-    return run_reveal_phase(
-        state.envelopes,
-        honest,
-        lambda observed: _release_plan(
-            observed, attacker, config, strategy, flip_slots
-        ),
+    over `flip_slots` (default: the full ordered flip set).
+
+    The release is planned on the honest-only view of `state`, which is
+    what a rushing adversary observes.  Withheld flip slots get nothing;
+    every other flippable origin — non-withheld flip slots and any
+    flippable origin outside the (possibly budget-truncated) flip_slots
+    list — is topped up to n with the adversary's lowest-x held shares.
+    Mask 0 therefore reproduces honest behavior exactly.
+    """
+    phase = partial(
+        run_reveal_phase,
+        [e for row in state.shares for e in row],
+        state.participants - attacker.controlled,
         adversary_participants=state.participants & attacker.controlled,
         proposer_by_slot=state.proposer_by_slot,
         epoch=state.epoch,
+    )
+    observed = phase()
+    held, flip = _origin_table(observed, attacker, config)
+    if flip_slots is None:
+        flip_slots = flip
+    withheld = set(strategy.withheld(flip_slots))
+    return phase(
+        e
+        for origin in flip
+        if origin not in withheld
+        for e in held[origin][
+            : config.threshold_n - len(observed.broadcast[origin])
+        ]
     )
 
 
@@ -374,16 +350,19 @@ def mask0_recovery(
     the ascending flip set, from share counts alone.
 
     An origin recovers from >= n honest shares, or as a flip slot the
-    adversary tops up to n (see _release_plan); every other origin stays
-    absent.  Nothing is interpolated, so every origin is taken to have
-    split its reveal honestly; recover_all is the oracle that decodes.
+    adversary tops up to n (see apply_flip_strategy); every other origin
+    stays absent.  Nothing is interpolated, so every origin is taken to
+    have split its reveal honestly; recover_all is the oracle that
+    decodes.
     """
-    table = _origin_table(state, attacker, config)
+    _, flip = _origin_table(state, attacker, config)
     n = config.threshold_n
-    recovered = frozenset(table.flip).union(
-        origin for origin, points in table.honest.items() if len(points) >= n
+    recovered = frozenset(flip).union(
+        origin
+        for origin, points in enumerate(state.broadcast)
+        if len(points) >= n
     )
-    return recovered, table.flip
+    return recovered, flip
 
 
 def best_flip_strategy(
@@ -403,9 +382,8 @@ def best_flip_strategy(
     under mask 0.  Mask bit i suppresses flip slot i.  The reveals a
     mask toggles are those recover_all decodes under mask 0.
     """
-    flip_slots = _origin_table(state, attacker, config).flip[
-        : strategy_budget(cap, max_flips)
-    ]
+    _, flip = _origin_table(state, attacker, config)
+    flip_slots = flip[: strategy_budget(cap, max_flips)]
     mask0 = apply_flip_strategy(
         state, attacker, config, Strategy(0, len(flip_slots)), flip_slots
     )

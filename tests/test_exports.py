@@ -23,6 +23,7 @@ MODULES = (
 # runners beside run_scenario, the grinders' old over-budget error, a
 # list copy of Registry.limits, and the trial's own Lagrange recovery.
 REMOVED = (
+    "AdversaryDecision",
     "ELEMENT_BYTES",
     "ENVELOPE_WIRE_BYTES",
     "FORMATS",

@@ -67,7 +67,7 @@ def full_envelopes(cfg, rng=None, proposers=IDENTITY, reveals=None):
 def phase(
     envelopes,
     honest,
-    decision=None,
+    released=(),
     adversary=(),
     proposers=IDENTITY,
     epoch=0,
@@ -75,7 +75,7 @@ def phase(
     return run_reveal_phase(
         envelopes,
         honest,
-        decision,
+        released,
         adversary_participants=adversary,
         proposer_by_slot=proposers,
         epoch=epoch,
@@ -154,17 +154,17 @@ def test_full_honest_participation_floods_every_origin():
     cfg = SssConfig(16, 31)
     state = phase(full_envelopes(cfg), set(range(32)))
     assert state.t == 32
-    per_origin = {}
-    for origin, _, _ in state.broadcast:
-        per_origin[origin] = per_origin.get(origin, 0) + 1
-    assert per_origin == {s: 31 for s in range(32)}
+    assert [len(points) for points in state.broadcast] == [31] * 32
+    for origin, row in enumerate(state.shares):
+        assert [e.point.x for e in row] == list(range(1, 32))
+        assert state.broadcast[origin] == tuple(e.point for e in row)
 
 
 def test_empty_participation_yields_nothing():
     cfg = SssConfig(16, 31)
     state = phase(full_envelopes(cfg), set())
     assert state.t == 0
-    assert state.broadcast == frozenset()
+    assert state.broadcast == ((),) * 32
     outcome = recover_all(state, cfg)
     assert outcome.per_slot == (None,) * 32
     assert outcome.mix == b"\x00" * 32
@@ -179,30 +179,61 @@ def test_reveal_phase_rejects_overlapping_sets_and_foreign_shares():
     foreign = distribute_shares(
         0, sha256(b"other").digest(), cfg, IDENTITY, random.Random(9)
     )
-    with pytest.raises(ValueError):
-        phase(envs, {1}, lambda view: [foreign[0]], adversary={3})
+    with pytest.raises(ValueError, match="never distributed"):
+        phase(envs, {1}, [foreign[0]], adversary={3})
     # Releasing a share sealed to someone else is also rejected.
     not_mine = [e for e in envs if e.sealed_to == 5][0]
-    with pytest.raises(ValueError):
-        phase(envs, {1}, lambda view: [not_mine], adversary={3})
+    with pytest.raises(ValueError, match="does not hold"):
+        phase(envs, {1}, [not_mine], adversary={3})
 
 
-def test_rushing_adversary_sees_honest_broadcasts_first():
+def test_reveal_phase_rejects_two_envelopes_at_one_share_index():
+    # A second split of origin 0 puts a different envelope at each of
+    # its share indices; recovery could not pick between them.
+    cfg = SssConfig(4, 31)
+    second = distribute_shares(
+        0, REVEALS[0], cfg, IDENTITY, random.Random(99)
+    )
+    with pytest.raises(ValueError, match="share index"):
+        phase(full_envelopes(cfg) + second, set(range(32)))
+
+
+def test_reveal_phase_reads_shuffled_and_repeated_envelopes_alike():
     cfg = SssConfig(4, 31)
     envs = full_envelopes(cfg)
-    seen = {}
+    mine = [e for e in envs if e.sealed_to == 31][:2]
+    state = phase(envs, set(range(8)), mine, adversary={31})
+    shuffled = envs + envs[:40]
+    random.Random(5).shuffle(shuffled)
+    assert phase(shuffled, set(range(8)), mine + mine, adversary={31}) == (
+        state
+    )
+    assert sum(map(len, state.broadcast)) == 8 * 31 + 2
+    assert state.participants == frozenset(range(8)) | {31}
 
-    def decision(view):
-        seen["participants"] = view.participants
-        seen["broadcast_size"] = len(view.broadcast)
-        return [e for e in envs if e.sealed_to == 31][:2]
 
-    honest = set(range(8))
-    state = phase(envs, honest, decision, adversary={31})
-    assert seen["participants"] == frozenset(range(8)) | {31}
-    # The observed view holds exactly the honest broadcasts.
-    assert seen["broadcast_size"] == 8 * 31
-    assert len(state.broadcast) == 8 * 31 + 2
+def test_release_is_planned_on_the_honest_only_view():
+    # Re-applying a strategy to a state that already holds the
+    # adversary's release plans the same release: the plan reads only
+    # the honest broadcasts, as a rushing adversary observes them.
+    cfg = SssConfig(4, 31)
+    state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
+    profile = attacker_profile({31})
+    flips = sorted(adversary_flip_set(state, profile, cfg))
+    for mask in (0, 0b101):
+        strategy = Strategy(mask, len(flips))
+        once = apply_flip_strategy(state, profile, cfg, strategy)
+        assert apply_flip_strategy(once, profile, cfg, strategy) == once
+        assert apply_flip_strategy(
+            once, profile, cfg, strategy, flips
+        ) == once
+    topped_up = apply_flip_strategy(
+        state, profile, cfg, Strategy(0, len(flips))
+    )
+    # Each of origins 3..30 gets one held share on top of its three.
+    assert [len(p) for p in topped_up.broadcast] == (
+        [2] * 3 + [4] * 28 + [3]
+    )
 
 
 def test_t_counts_distributed_and_participating_slots():
@@ -511,7 +542,8 @@ def test_share_conservation_through_attack():
     distributed = {(e.origin_slot, e.point) for e in envs}
     assert all(
         (origin, point) in distributed
-        for origin, point, _ in final.broadcast
+        for origin, points in enumerate(final.broadcast)
+        for point in points
     )
 
 
@@ -571,12 +603,9 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
 
     flips, recovered = [], set()
     for origin, kind in enumerate(slot_type):
-        assert sum(1 for o, _, _ in state.broadcast if o == origin) == (
-            honest[kind]
-        )
+        assert len(state.broadcast[origin]) == honest[kind]
         assert sum(
-            1 for e in state.envelopes
-            if e.origin_slot == origin and e.sealed_to in controlled
+            1 for e in state.shares[origin] if e.sealed_to in controlled
         ) == held[kind]
         if honest[kind] >= n:
             recovered.add(origin)
