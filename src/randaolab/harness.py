@@ -16,7 +16,6 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -420,7 +419,12 @@ def _run_cells(
     holds one cell's rows at a time."""
     largest = max((cfg.epochs for cfg in cells), default=1)
     workers = min(workers, largest, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # Imported here: a serial run never loads the process machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     reports = []
     with pool or nullcontext():
         for cfg in cells:

@@ -8,7 +8,7 @@ the "nothing": every candidate secret stays consistent).
 
 from __future__ import annotations
 
-import secrets
+import random
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
@@ -35,12 +35,8 @@ class Entropy(Protocol):
     def randrange(self, stop: int) -> int: ...
 
 
-class _SystemEntropy:
-    def randrange(self, stop: int) -> int:
-        return secrets.randbelow(stop)
-
-
-SYSTEM_ENTROPY = _SystemEntropy()
+# os.urandom behind the Entropy protocol.
+SYSTEM_ENTROPY = random.SystemRandom()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,13 @@ within 4 standard errors of P(Binomial(32, q) >= n).  Every other epoch
 is prevented, and for n <= 16 each of its origins keeps at least
 31 - h >= n honest shares, so the attacker has nothing to flip and
 gains nothing.
+
+Below full participation the flip set of each sss epoch follows from
+its slot types alone.  With h attacker slots and t joined proposers, an
+origin whose proposer is the attacker's, present or absent gets t-h,
+t-h-1 or t-h honest shares, and the attacker holds h-1, h or h more.
+The origin is a flip slot when honest < n <= honest + held, and the
+trial's decision_width is the flip count, cut at the strategy cap.
 """
 
 from math import comb, sqrt
@@ -27,7 +34,7 @@ from typing import Optional
 
 import pytest
 
-from randaolab.harness import run_scenario, sss_trial
+from randaolab.harness import _common_draws, run_scenario, sss_trial
 from randaolab.randao import SLOTS_PER_EPOCH
 from randaolab.scenario import ScenarioConfig
 
@@ -97,3 +104,66 @@ def test_sss_collusion_fraction_matches_the_binomial_tail(stake, n):
     for row in prevented:
         assert row.decision_width == 0
         assert row.payoff == row.honest_payoff
+
+
+def oracle_decision_width(cfg: ScenarioConfig, index: int) -> int:
+    """The flip count of trial `index` from its slot types, capped."""
+    _, _, profile, _, proposers, participating = _common_draws(cfg, index)
+    attacker = [v in profile.controlled for v in proposers]
+    present = [v in participating for v in proposers]
+    h = sum(attacker)
+    t = h + sum(present)
+    n = cfg.sss_threshold_n
+    flips = 0
+    for is_attacker, is_present in zip(attacker, present):
+        if is_attacker:
+            honest, held = t - h, h - 1
+        elif is_present:
+            honest, held = t - h - 1, h
+        else:
+            honest, held = t - h, h
+        flips += honest < n <= honest + held
+    return min(cfg.strategy_cap, flips)
+
+
+SSS_PARTIAL = ScenarioConfig(
+    protocol="sss", validator_count=40, epochs=20, rng_seed=23,
+)
+
+
+def assert_widths_follow_the_slot_types(cfg: ScenarioConfig) -> None:
+    for index in range(cfg.epochs):
+        assert sss_trial(cfg, index).decision_width == (
+            oracle_decision_width(cfg, index)
+        ), (cfg, index)
+
+
+# 20 epochs a cell at rng_seed 23.  The oracle reads 0 in most epochs,
+# the full cap in most n = 16 epochs below participation 0.9, and 8
+# flip slots under cap 12 in 5 epochs at n = 8.
+@pytest.mark.parametrize("participation", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("stake", [0.2, 0.3])
+def test_sss_decision_width_follows_the_slot_types(stake, participation):
+    for n in (4, 8, 16):
+        for cap in (4, 12):
+            assert_widths_follow_the_slot_types(SSS_PARTIAL.replace(
+                attacker_stake_fraction=stake,
+                participation_rate=participation,
+                sss_threshold_n=n,
+                strategy_cap=cap,
+            ))
+
+
+# Pareto balances; and n = 24, where t = 24 joins in two epochs (only
+# the 8 absent origins flip) and t = 23 in three (none flips), which
+# pins the upper bound n <= honest + held that the grid above never
+# reaches under its caps.
+@pytest.mark.parametrize("changes", [
+    dict(validator_count=60, balance_model="pareto:1.5",
+         attacker_stake_fraction=0.3, participation_rate=0.6,
+         sss_threshold_n=12, strategy_cap=8),
+    dict(attacker_stake_fraction=0.3, participation_rate=0.7,
+         sss_threshold_n=24, strategy_cap=12),
+], ids=["pareto", "n24"])
+def test_sss_decision_width_follows_the_slot_types_at_the_edges(changes):
+    assert_widths_follow_the_slot_types(SSS_PARTIAL.replace(**changes))

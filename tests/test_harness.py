@@ -1,6 +1,7 @@
 """Monte Carlo harness: per-trial determinism, registry/attacker setup,
 aggregation exactness, serial/parallel equivalence, and report emission."""
 
+import concurrent.futures
 import csv
 import importlib
 import io
@@ -486,7 +487,9 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", RecordingPool
+    )
     return requested
 
 

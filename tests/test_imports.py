@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no
-private helper is left without a reader.
+"""No module of the package imports a name it never uses, no private
+helper is left without a reader, and a serial run loads no process-pool
+or `secrets` machinery.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by
 a module-level import in src/randaolab/*.py (bar __init__.py, which
@@ -9,6 +10,9 @@ somewhere in the package, as a name or as an attribute.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,46 @@ def test_package_has_no_unread_private_names():
         path.stem: path.read_text(encoding="utf-8") for path in PACKAGE
     }
     assert unread_private_names(sources) == []
+
+
+# Modules a serial run must never load: the process pool's tree and the
+# `secrets` module the default Shamir entropy no longer needs.
+SERIAL_ABSENT = ("concurrent.futures.process", "multiprocessing", "secrets")
+
+RUN_SCRIPT = """
+import io, os, sys
+import randaolab, randaolab.cli
+from randaolab.harness import emit, run_scenario
+from randaolab.scenario import load_scenario
+
+os.cpu_count = lambda: 2  # let workers=2 open a pool on any machine
+cfg = load_scenario(overrides=dict(protocol="sss", epochs=2,
+                                   validator_count=40))
+emit(run_scenario(cfg, workers=int(sys.argv[1])), "csv", io.StringIO())
+print(" ".join(m for m in {modules!r} if m in sys.modules))
+"""
+
+
+def loaded_after_run(workers: int) -> list[str]:
+    """Which of SERIAL_ABSENT a fresh interpreter holds after importing
+    the CLI and running and emitting a 2-epoch scenario."""
+    src = str(Path(randaolab.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_SCRIPT.format(modules=SERIAL_ABSENT),
+         str(workers)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return result.stdout.split()
+
+
+def test_serial_run_loads_no_pool_or_secrets():
+    assert loaded_after_run(workers=1) == []
+
+
+def test_parallel_run_loads_the_pool():
+    # The guard above can fail: a pooled run does load the pool module.
+    assert "concurrent.futures.process" in loaded_after_run(workers=2)

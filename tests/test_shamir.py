@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from randaolab.field import FIELD_256, PrimeField, SharePoint
 from randaolab.shamir import (
+    SYSTEM_ENTROPY,
     CorruptShares,
     InsufficientShares,
     SssConfig,
@@ -113,6 +114,28 @@ def test_tampered_share_changes_recovery():
     )
     result = recover_element([bad, shares[1], shares[2]], cfg)
     assert result.value != FIELD_256.embed32(secret)
+
+
+# -- default (system) entropy -------------------------------------------
+
+def test_default_entropy_split_round_trips():
+    cfg = SssConfig(3, 5)
+    secret = bytes(range(32))
+    shares = split(secret, cfg)
+    assert recover(shares[2:], cfg) == secret
+    assert recover(shares, cfg) == secret
+
+
+def test_default_entropy_splits_differ():
+    # Two fresh degree-2 polynomials collide with probability ~2^-512.
+    cfg = SssConfig(3, 5)
+    secret = b"\x5A" * 32
+    assert split(secret, cfg) != split(secret, cfg)
+
+
+def test_default_entropy_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        SYSTEM_ENTROPY.randrange(0)
 
 
 # -- secrecy -------------------------------------------------------------
