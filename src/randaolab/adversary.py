@@ -14,7 +14,8 @@ from .randao import (
     EpochState,
     Registry,
     Validator,
-    count_selected,
+    _seed_hasher,
+    _selection,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -186,17 +187,22 @@ def _mask_seeds(
     Bit i of a mask XORs toggles[i] into base_mix, so mask 0 is honest
     play.  Going from mask - 1 to mask flips the lowest set bit of mask
     and every bit below it: one XOR with a prefix fold of the toggles.
+    Each seed is derive_seed(mix, epoch), hashed onto one copy of the
+    epoch's seed prefix.
     """
     prefix = []
     fold = 0
     for toggle in toggles:
         fold ^= toggle
         prefix.append(fold)
+    fresh = _seed_hasher(epoch).copy
     mix = base_mix
     for mask in range(1 << len(toggles)):
         if mask:
             mix ^= prefix[(mask & -mask).bit_length() - 1]
-        yield derive_seed(mix.to_bytes(32, "big"), epoch)
+        hasher = fresh()
+        hasher.update(mix.to_bytes(32, "big"))
+        yield hasher.digest()
 
 
 @lru_cache(maxsize=16)
@@ -210,7 +216,10 @@ def _selection_tables(
     registry: Sequence[Validator], controlled: frozenset[int]
 ) -> tuple[Sequence[int], bytes]:
     """What count_selected needs of the registry: its acceptance limits
-    and a controlled flag per index."""
+    and a controlled flag per index.  A Registry is non-empty and the
+    flags are as many as its limits, so with the 32-byte seeds of
+    _mask_seeds the grinder counts every mask without count_selected's
+    checks."""
     registry = Registry.of(registry)
     return registry.limits, _controlled_flags(
         frozenset(controlled), len(registry)
@@ -229,7 +238,7 @@ def mask_payoffs(
     _mask_seeds for the mask encoding)."""
     limits, marked = _selection_tables(registry, controlled)
     for seed in _mask_seeds(base_mix, toggles, epoch):
-        yield count_selected(seed, limits, marked, -1)
+        yield _selection(seed, limits, marked, -1)[0]
 
 
 def grind(
@@ -250,10 +259,10 @@ def grind(
     """
     limits, marked = _selection_tables(registry, controlled)
     seeds = _mask_seeds(base_mix, toggles, epoch)
-    honest = best = count_selected(next(seeds), limits, marked, -1)
+    honest = best = _selection(next(seeds), limits, marked, -1)[0]
     best_mask = 0
     for mask, seed in enumerate(seeds, 1):
-        payoff = count_selected(seed, limits, marked, best)
+        payoff = _selection(seed, limits, marked, best)[0]
         if payoff > best:
             best, best_mask = payoff, mask
     return AttackOutcome(Strategy(best_mask, len(toggles)), best, honest)

@@ -136,6 +136,24 @@ def assign_attacker(
     return AttackerProfile(frozenset(range(count)), held / total)
 
 
+@lru_cache(maxsize=SCENARIO_CACHE_SIZE)
+def _shared_attacker(
+    balance_model: str, validator_count: int, stake: float
+) -> Optional[AttackerProfile]:
+    """assign_attacker on the scenario's shared balance column, the
+    profile of every trial of a uniform or explicit scenario; None for
+    pareto, whose trials each assign their own."""
+    registry = _shared(balance_model, validator_count).registry
+    if registry is None:
+        return None
+    cfg = ScenarioConfig(
+        validator_count=validator_count,
+        balance_model=balance_model,
+        attacker_stake_fraction=stake,
+    )
+    return assign_attacker(cfg, registry)
+
+
 class ClassicTrialDetail(NamedTuple):
     registry: Registry
     profile: AttackerProfile
@@ -180,7 +198,9 @@ def _common_draws(cfg: ScenarioConfig, index: int):
     cross-protocol comparisons paired."""
     rng = trial_rng(cfg.rng_seed, index)
     registry = build_registry(cfg, rng)
-    profile = assign_attacker(cfg, registry)
+    profile = _shared_attacker(
+        cfg.balance_model, cfg.validator_count, cfg.attacker_stake_fraction
+    ) or assign_attacker(cfg, registry)
     assignment_seed = rng.randbytes(32)
     proposers = select_proposers(assignment_seed, registry)
     honest_proposer_validators = sorted(
@@ -203,10 +223,8 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
         _common_draws(cfg, index)
     )
     posted = [
-        registry.reveal(v, index)
-        if v in participating or v in profile.controlled
-        else None
-        for v in proposers
+        reveal if v in participating or v in profile.controlled else None
+        for v, reveal in zip(proposers, registry.reveals(proposers, index))
     ]
     state = EpochState(index, proposers, posted)
     decision = tail_decision_slots(
@@ -257,7 +275,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         _common_draws(cfg, index)
     )
     sss_cfg = SssConfig(cfg.sss_threshold_n, SLOTS_PER_EPOCH - 1)
-    reveals = [registry.reveal(v, index) for v in proposers]
+    reveals = registry.reveals(proposers, index)
     envelopes = []
     for slot in range(SLOTS_PER_EPOCH):
         envelopes.extend(

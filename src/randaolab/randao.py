@@ -53,15 +53,18 @@ class Validator:
             raise ValueError("effective balance out of range")
 
 
-def _reveal(secret_key: bytes, epoch: int) -> bytes:
+def _reveals(keys: bytes, starts: Iterable[int], epoch: int) -> list[bytes]:
+    """sha256(key || le64(epoch) || DOMAIN_RANDAO) for the 32-byte key
+    at each start offset of `keys`, with the suffix built once."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return sha256(secret_key + _le64(epoch) + DOMAIN_RANDAO).digest()
+    suffix = _le64(epoch) + DOMAIN_RANDAO
+    return [sha256(keys[s : s + 32] + suffix).digest() for s in starts]
 
 
 def compute_reveal(validator: Validator, epoch: int) -> bytes:
     """Deterministic per-(validator, epoch) 32-byte reveal."""
-    return _reveal(validator.secret_key, epoch)
+    return _reveals(validator.secret_key, (0,), epoch)[0]
 
 
 def mix_reveals(posted: Sequence[Optional[bytes]]) -> bytes:
@@ -76,13 +79,21 @@ def mix_reveals(posted: Sequence[Optional[bytes]]) -> bytes:
     return acc.to_bytes(32, "big")
 
 
+def _seed_hasher(epoch: int):
+    """A sha256 fed DOMAIN_BEACON_PROPOSER || le64(epoch): what every
+    seed of the epoch hashes before its mix."""
+    if epoch < 0:
+        raise ValueError("epoch must be >= 0")
+    return sha256(DOMAIN_BEACON_PROPOSER + _le64(epoch))
+
+
 def derive_seed(mix: bytes, epoch: int) -> bytes:
     """Seed for proposer selection, bound to its epoch and domain."""
     if len(mix) != 32:
         raise ValueError("mix must be 32 bytes")
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    return sha256(DOMAIN_BEACON_PROPOSER + _le64(epoch) + mix).digest()
+    hasher = _seed_hasher(epoch)
+    hasher.update(mix)
+    return hasher.digest()
 
 
 def balance_limits(balances: Iterable[int]) -> tuple[int, ...]:
@@ -101,9 +112,10 @@ class Registry(Sequence[Validator]):
     `limits` (see balance_limits), all indexed by validator index.
 
     The columns are checked and the limits computed once, when the
-    registry is built.  `registry.reveal(i, epoch)` reads validator i's
-    reveal straight from the key column; `registry[i]` is a validated
-    Validator view.  Two registries are equal when their columns are.
+    registry is built.  `registry.reveals(indices, epoch)` reads the
+    validators' reveals straight from the key column; `registry[i]` is a
+    validated Validator view.  Two registries are equal when their
+    columns are.
     """
 
     __slots__ = ("keys", "balances", "limits")
@@ -146,21 +158,25 @@ class Registry(Sequence[Validator]):
     def __len__(self) -> int:
         return len(self.balances)
 
-    def _key(self, index: int) -> tuple[int, bytes]:
-        count = len(self.balances)
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("validator index out of range")
-        return index, self.keys[32 * index : 32 * index + 32]
-
     def __getitem__(self, index: int) -> Validator:
-        index, key = self._key(index)
+        count = len(self.balances)
+        if not -count <= index < count:
+            raise IndexError("validator index out of range")
+        index %= count
+        key = self.keys[32 * index : 32 * index + 32]
         return Validator(index, key, self.balances[index])
+
+    def reveals(self, indices: Sequence[int], epoch: int) -> list[bytes]:
+        """[compute_reveal(self[i], epoch) for i in indices], in one pass
+        over the key column and without the views."""
+        count = len(self.balances)
+        if indices and not -count <= min(indices) <= max(indices) < count:
+            raise IndexError("validator index out of range")
+        return _reveals(self.keys, [32 * (i % count) for i in indices], epoch)
 
     def reveal(self, index: int, epoch: int) -> bytes:
         """compute_reveal(self[index], epoch), without the view."""
-        return _reveal(self._key(index)[1], epoch)
+        return self.reveals((index,), epoch)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Registry):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,13 +34,21 @@ MAX_VALIDATORS = 2**20
 # Grids beyond this are almost certainly a typo'd range.
 MAX_SWEEP_CELLS = 4096
 
+# A pareto balance is draw * MAX/32, with draw = u^(-1/shape) and
+# u = 1 - random() >= 2^-53, so draw <= 2^(53/shape).  Above this shape
+# (about 0.0533) every scaled draw is a finite float.
+MIN_PARETO_SHAPE = 53 / math.log2(
+    sys.float_info.max / (MAX_EFFECTIVE_BALANCE // 32)
+)
+
 
 def parse_balance_model(spec: str) -> tuple[str, object]:
     """Validate and destructure a balance_model string.
 
     uniform                  every validator at MAX_EFFECTIVE_BALANCE
     pareto:<shape>           heavy-tailed draws scaled into
-                             [MAX/32, MAX], floored to integer units
+                             [MAX/32, MAX], floored to integer units;
+                             shape > MIN_PARETO_SHAPE
     explicit:<b1,b2,...>     balances verbatim, one per validator
     """
     if spec == "uniform":
@@ -49,8 +58,11 @@ def parse_balance_model(spec: str) -> tuple[str, object]:
             shape = float(spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad pareto shape in {spec!r}") from None
-        if shape <= 0:
-            raise ConfigError("pareto shape must be > 0")
+        if not shape > MIN_PARETO_SHAPE:
+            raise ConfigError(
+                f"pareto shape must be > {MIN_PARETO_SHAPE:.4f}, "
+                f"got {shape!r}"
+            )
         return ("pareto", shape)
     if spec.startswith("explicit:"):
         body = spec.split(":", 1)[1]
@@ -171,11 +183,15 @@ def _parse_field(key: str, raw: str) -> object:
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No interpolation: a '%' stays in its value and fails that field's
+    # check, instead of raising from configparser while values are read.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None
+    )
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None

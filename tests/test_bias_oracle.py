@@ -11,7 +11,9 @@ largest.  Hence
     E[payoff] = sum_h P(h) sum_{c < 32} (1 - F(c)^(2^w)),
 
 with F the Binomial(32, q) CDF.  run_scenario's mean must lie within
-4 standard errors of it.
+4 standard errors of it.  With other balances, a slot's proposer is the
+attacker's with probability q = sum of its acceptance limits
+floor(256 b / MAX) over the sum of all of them, not its balance share.
 
 The sss beacon at full participation has every one of the 32 proposers
 join, h ~ Binomial(32, q) of them the attacker's.  An epoch is
@@ -35,7 +37,7 @@ from typing import Optional
 import pytest
 
 from randaolab.harness import _common_draws, run_scenario, sss_trial
-from randaolab.randao import SLOTS_PER_EPOCH
+from randaolab.randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH
 from randaolab.scenario import ScenarioConfig
 
 
@@ -80,6 +82,32 @@ def test_classic_bias_matches_the_closed_form(stake, cap, tail_limit):
     expected = expected_payoff(report.achieved_stake_fraction, cap, tail_limit)
     z = (report.mean_attacker_slots - expected) / report.std_error
     assert abs(z) <= 4, (report.mean_attacker_slots, expected, z)
+
+
+# The attacker holds 35 validators at 17 MAX/256 - 1, acceptance limit
+# 16, against 5 at MAX: its balance share 0.3173 overstates its limit
+# share 0.3043.  At rng_seed 17 the limit share reads z = -0.04 and the
+# balance share z = -9.57.
+def test_classic_bias_follows_the_quantised_weights():
+    small = 17 * MAX_EFFECTIVE_BALANCE // 256 - 1
+    balances = [small] * 35 + [MAX_EFFECTIVE_BALANCE] * 5
+    cfg = ScenarioConfig(
+        validator_count=40, attacker_stake_fraction=0.31, epochs=3000,
+        strategy_cap=8, rng_seed=17,
+        balance_model="explicit:" + ",".join(map(str, balances)),
+    )
+    _, registry, profile, *_ = _common_draws(cfg, 0)
+    assert sorted(profile.controlled) == list(range(35))
+    limits = registry.limits
+    q = sum(limits[i] for i in profile.controlled) / sum(limits)
+    report = run_scenario(cfg)
+
+    def z(share):
+        expected = expected_payoff(share, cfg.strategy_cap, None)
+        return (report.mean_attacker_slots - expected) / report.std_error
+
+    assert abs(z(q)) <= 4, (q, z(q))
+    assert abs(z(report.achieved_stake_fraction)) > 4
 
 
 # 600 epochs of 200 validators at rng_seed 17: the three cells read

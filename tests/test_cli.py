@@ -155,6 +155,45 @@ def test_workers_below_one_exits_2(command, workers, capsys):
     assert "config error: --workers" in err
 
 
+# Bad inputs, each rejected as a configuration problem.  A config entry
+# is written to a file that --config then names.
+NOT_UTF8 = b"\xff\xfe[scenario]\nepochs = 2\n"
+BAD_INPUTS = {
+    "pareto-nan": (["simulate"], b"[scenario]\nbalance_model = pareto:nan\n"),
+    "pareto-1e-300": (
+        ["simulate"], b"[scenario]\nbalance_model = pareto:1e-300\n"
+    ),
+    "simulate-not-utf8": (["simulate"], NOT_UTF8),
+    "sweep-not-utf8": (["sweep"], NOT_UTF8),
+    "scenario-percent": (
+        ["simulate"], b"[scenario]\nbalance_model = pareto:1%\n"
+    ),
+    "grid-percent": (
+        ["sweep"], b"[scenario]\nepochs = 2\n[grid]\nrng_seed = 1, %(x)s\n"
+    ),
+    "attack-demo-not-utf8": (["attack-demo"], NOT_UTF8),
+    "stake-nan": (["simulate", *BASE, "--stake", "nan"], None),
+    "workers-0": (["simulate", *BASE, "--workers", "0"], None),
+    "threshold-0": (
+        ["simulate", *BASE, "--protocol", "sss", "--threshold", "0"], None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_2_without_a_traceback(name, tmp_path, capsys):
+    argv, config = BAD_INPUTS[name]
+    if config is not None:
+        path = tmp_path / "run.ini"
+        path.write_bytes(config)
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_cap_above_default_exits_2(capsys):
     code, _, err = run_main(["simulate", *BASE, "--cap", "40"], capsys)
     assert code == 2

@@ -319,6 +319,66 @@ def test_shared_cache_stays_bounded():
     assert harness._shared.cache_info().currsize == bound
 
 
+@pytest.fixture
+def attacker_calls(monkeypatch):
+    """The (balance_model, validator_count, stake) of every
+    assign_attacker call the harness makes, from a cold per-scenario
+    attacker cache."""
+    calls = Counter()
+    assign = harness.assign_attacker
+
+    def counting(cfg, registry):
+        calls[scenario_key(cfg)] += 1
+        return assign(cfg, registry)
+
+    monkeypatch.setattr(harness, "assign_attacker", counting)
+    harness._shared_attacker.cache_clear()
+    return calls
+
+
+def scenario_key(cfg):
+    return (cfg.balance_model, cfg.validator_count,
+            cfg.attacker_stake_fraction)
+
+
+EXPLICIT_40 = "explicit:" + ",".join(
+    str(MAX_EFFECTIVE_BALANCE // d) for d in (1, 2, 3, 5) * 10
+)
+
+
+def test_trials_assign_the_attacker_once_per_scenario(attacker_calls):
+    shared = [
+        small(),
+        small(rng_seed=9, epochs=6),
+        small(protocol="sss", participation_rate=0.5),
+        small(attacker_stake_fraction=0.6),
+        small(balance_model=EXPLICIT_40),
+        small(balance_model=EXPLICIT_40, rng_seed=2, protocol="sss"),
+    ]
+    pareto = [small(balance_model="pareto:1.5"),
+              small(balance_model="pareto:1.5", rng_seed=2)]
+    for cfg in shared + pareto:
+        run_scenario(cfg)
+    assert attacker_calls == Counter(
+        {scenario_key(cfg): 1 for cfg in shared}
+    ) + Counter({scenario_key(pareto[0]): sum(cfg.epochs for cfg in pareto)})
+    # The shared profile is the one a per-trial call would give.
+    for cfg in shared + pareto:
+        for index in range(cfg.epochs):
+            _, registry, profile, *_ = harness._common_draws(cfg, index)
+            assert profile == assign_attacker(cfg, registry)
+
+
+def test_shared_attacker_cache_stays_bounded():
+    harness._shared_attacker.cache_clear()
+    bound = harness.SCENARIO_CACHE_SIZE
+    for step in range(bound + 6):
+        cfg = small(attacker_stake_fraction=step / 40, epochs=1)
+        classic_trial(cfg, 0)
+        assert harness._shared_attacker.cache_info().currsize <= bound
+    assert harness._shared_attacker.cache_info().currsize == bound
+
+
 # -- classic trials ------------------------------------------------------------
 
 def test_classic_trial_rows_are_deterministic_and_bounded():

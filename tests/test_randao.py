@@ -91,6 +91,22 @@ def test_registry_reveal_reads_the_key_column():
         registry.reveal(0, -1)
 
 
+def test_registry_reveals_are_one_pass_of_compute_reveal():
+    validators = [make_validator(i) for i in range(5)]
+    registry = Registry.of(validators)
+    indices = (4, 0, 2, 2, -1, -5)
+    for epoch in (0, 7, 2**40):
+        assert registry.reveals(indices, epoch) == [
+            compute_reveal(validators[i], epoch) for i in indices
+        ]
+    assert registry.reveals((), 3) == []
+    for bad in ((0, 5), (-6,), (5, -6)):
+        with pytest.raises(IndexError):
+            registry.reveals(bad, 0)
+    with pytest.raises(ValueError):
+        registry.reveals((0, 1), -1)
+
+
 def test_derive_seed_matches_hash_oracle():
     mix = sha256(b"mix").digest()
     epoch = 9

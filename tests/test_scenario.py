@@ -1,6 +1,9 @@
 """Scenario config: defaults, validation, the INI file format, and
 grid expansion for sweeps."""
 
+import math
+import random
+
 import pytest
 
 from randaolab.adversary import DEFAULT_STRATEGY_CAP
@@ -8,6 +11,7 @@ from randaolab.randao import MAX_EFFECTIVE_BALANCE
 from randaolab.scenario import (
     MAX_SWEEP_CELLS,
     MAX_VALIDATORS,
+    MIN_PARETO_SHAPE,
     ConfigError,
     ScenarioConfig,
     grid_cells,
@@ -112,6 +116,39 @@ def test_balance_model_parsing():
         parse_balance_model(f"explicit:{MAX_EFFECTIVE_BALANCE + 1}")
 
 
+class _LargestDraw(random.Random):
+    """random() at its largest value, 1 - 2^-53: paretovariate's
+    largest draw, 2^(53 / shape)."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+@pytest.mark.parametrize(
+    "shape", [math.nextafter(MIN_PARETO_SHAPE, 1.0), 0.054, 1.5, math.inf]
+)
+def test_pareto_shapes_above_the_bound_draw_finite_balances(shape):
+    model, parsed = parse_balance_model(f"pareto:{shape!r}")
+    assert (model, parsed) == ("pareto", shape)
+    unit = MAX_EFFECTIVE_BALANCE // 32
+    assert math.isfinite(_LargestDraw().paretovariate(shape) * unit)
+
+
+@pytest.mark.parametrize(
+    "shape", ["nan", "-inf", "-1", "0", "1e-300", "0.053",
+              repr(MIN_PARETO_SHAPE)],
+)
+def test_pareto_shapes_at_or_below_the_bound_are_rejected(shape):
+    assert 0.053 < MIN_PARETO_SHAPE < 0.054
+    with pytest.raises(ConfigError, match="pareto shape must be > 0.0533"):
+        parse_balance_model(f"pareto:{shape}")
+
+
+def test_pareto_largest_draw_overflows_below_the_bound():
+    unit = MAX_EFFECTIVE_BALANCE // 32
+    assert math.isinf(_LargestDraw().paretovariate(0.053) * unit)
+
+
 def test_replace_revalidates():
     cfg = ScenarioConfig()
     assert cfg.replace(epochs=5).epochs == 5
@@ -170,6 +207,15 @@ def test_load_scenario_rejects_unknown_section(tmp_path):
 def test_load_scenario_missing_file():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_scenario("/nonexistent/run.ini")
+
+
+def test_load_scenario_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"\xff\xfe[scenario]\nepochs = 5\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_scenario(str(path))
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_grid(str(path))
 
 
 def test_load_scenario_bad_values(tmp_path):
