@@ -6,21 +6,6 @@ bias, and measures a threshold-secret-sharing variant where withheld
 reveals are recovered by the other proposers.
 """
 
-from .field import (
-    FIELD_256,
-    FieldElement,
-    PRIME_256,
-    PrimeField,
-    SharePoint,
-)
-from .shamir import (
-    CorruptShares,
-    InsufficientShares,
-    SssConfig,
-    recover,
-    secrecy_probe,
-    split,
-)
 from .randao import (
     DOMAIN_BEACON_PROPOSER,
     DOMAIN_RANDAO,
@@ -47,21 +32,6 @@ from .adversary import (
     evaluate_strategy,
     tail_decision_slots,
 )
-from .threshold_randao import (
-    RecoveryOutcome,
-    RevealPhaseState,
-    SecurityCase,
-    ShareEnvelope,
-    adversary_flip_set,
-    apply_flip_strategy,
-    best_flip_strategy,
-    classify_security_case,
-    distribute_shares,
-    evaluate_flip_strategy,
-    recover_all,
-    run_reveal_phase,
-    share_index,
-)
 from .scenario import ConfigError, ScenarioConfig, load_grid, load_scenario
 from .harness import (
     EmitError,
@@ -72,6 +42,44 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+# The share layer, exported but imported on first access (PEP 562): a
+# classic run never compiles or executes these modules.
+_LAZY = {
+    "field": (
+        "FIELD_256",
+        "FieldElement",
+        "PRIME_256",
+        "PrimeField",
+        "SharePoint",
+    ),
+    "shamir": (
+        "CorruptShares",
+        "InsufficientShares",
+        "SssConfig",
+        "recover",
+        "secrecy_probe",
+        "split",
+    ),
+    "threshold_randao": (
+        "RecoveryOutcome",
+        "RevealPhaseState",
+        "SecurityCase",
+        "ShareEnvelope",
+        "adversary_flip_set",
+        "apply_flip_strategy",
+        "best_flip_strategy",
+        "classify_security_case",
+        "distribute_shares",
+        "evaluate_flip_strategy",
+        "recover_all",
+        "run_reveal_phase",
+        "share_index",
+    ),
+}
+_LAZY_OWNER = {
+    name: module for module, names in _LAZY.items() for name in names
+}
 
 __all__ = [
     "AttackOutcome",
@@ -130,3 +138,18 @@ __all__ = [
     "sweep",
     "tail_decision_slots",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_OWNER))

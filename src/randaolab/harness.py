@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import random
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from hashlib import sha256
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .adversary import (
     AttackerProfile,
@@ -48,16 +47,13 @@ from .scenario import (
     grid_cells,
     parse_balance_model,
 )
-from .shamir import SssConfig
-from .threshold_randao import (
-    RecoveryOutcome,
-    RevealPhaseState,
-    SecurityCase,
-    classify_security_case,
-    distribute_shares,
-    mask0_recovery,
-    run_reveal_phase,
-)
+
+if TYPE_CHECKING:
+    from .threshold_randao import (
+        RecoveryOutcome,
+        RevealPhaseState,
+        SecurityCase,
+    )
 
 
 class EmitError(RuntimeError):
@@ -271,6 +267,16 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     split, so nothing is interpolated.  The chosen mask leaves its
     withheld flip slots unrecovered; every other slot is as under
     mask 0."""
+    # Imported here: a classic run never loads the share layer.
+    from .shamir import SssConfig
+    from .threshold_randao import (
+        RecoveryOutcome,
+        classify_security_case,
+        distribute_shares,
+        mask0_recovery,
+        run_reveal_phase,
+    )
+
     rng, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
@@ -529,6 +535,8 @@ def emit(
             writer.writerow([_cell_text(row[name]) for name in COLUMNS])
         payload = buffer.getvalue()
     else:
+        import json
+
         payload = json.dumps(rows, indent=2) + "\n"
     if hasattr(destination, "write"):
         destination.write(payload)

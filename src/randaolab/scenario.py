@@ -78,6 +78,24 @@ def parse_balance_model(spec: str) -> tuple[str, object]:
     raise ConfigError(f"unknown balance model {spec!r}")
 
 
+# The types each field takes from library callers.  A bool passes only
+# as broken_seed_fallback, though it is an int; an int is a valid
+# fraction.
+_FIELD_TYPES = {
+    "validator_count": (int,),
+    "balance_model": (str,),
+    "attacker_stake_fraction": (int, float),
+    "protocol": (str,),
+    "sss_threshold_n": (int,),
+    "participation_rate": (int, float),
+    "epochs": (int,),
+    "rng_seed": (int,),
+    "strategy_cap": (int,),
+    "tail_limit": (int, type(None)),
+    "broken_seed_fallback": (bool,),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation scenario; every run is a pure function of this."""
@@ -95,6 +113,15 @@ class ScenarioConfig:
     broken_seed_fallback: bool = False
 
     def __post_init__(self) -> None:
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) != (bool in types) or not isinstance(
+                value, types
+            ):
+                expected = " or ".join(t.__name__ for t in types)
+                raise ConfigError(
+                    f"{name} must be {expected}, got {value!r}"
+                )
         if not 1 <= self.validator_count <= MAX_VALIDATORS:
             raise ConfigError(
                 f"validator_count must be in [1, {MAX_VALIDATORS}]"

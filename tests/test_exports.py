@@ -1,8 +1,15 @@
-"""The package's public surface: every exported name resolves, none is
-listed twice, and names removed from the library stay removed."""
+"""The package's public surface: every exported name resolves to the
+object its defining module holds, none is listed twice, and names
+removed from the library stay removed.  The share layer's names resolve
+on first access, so these checks also run in a fresh interpreter."""
 
+import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import randaolab
 from randaolab.shamir import split_element
@@ -62,7 +69,64 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def _top_level_names(module: str) -> set[str]:
+    path = Path(randaolab.__file__).parent / f"{module}.py"
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_exports_are_the_defining_modules_objects():
+    owners = {}
+    for module in MODULES:
+        for name in _top_level_names(module) & set(randaolab.__all__):
+            owners.setdefault(name, []).append(module)
+    assert sorted(owners) == sorted(randaolab.__all__)
+    mismatched = []
+    for name, modules in owners.items():
+        owner = importlib.import_module(f"randaolab.{modules[0]}")
+        exported = getattr(randaolab, name)
+        if len(modules) > 1 or exported is not getattr(owner, name):
+            mismatched.append(name)
+    assert mismatched == []
+
+
+def test_dir_lists_every_export():
+    assert set(randaolab.__all__) <= set(dir(randaolab))
+
+
+STAR_IMPORT_SCRIPT = """
+import randaolab
+names = set(dir(randaolab))
+from randaolab import *
+from randaolab import threshold_randao
+print(threshold_randao.__name__, names >= set(randaolab.__all__),
+      [n for n in randaolab.__all__ if n not in globals()])
+"""
+
+
+def test_star_import_and_submodule_import_in_fresh_interpreter():
+    src = str(Path(randaolab.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", STAR_IMPORT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert result.stdout.split() == [
+        "randaolab.threshold_randao", "True", "[]"
+    ]
+
+
 def test_removed_names_stay_removed():
+    # hasattr is False only where the lookup raises AttributeError, which
+    # the package's __getattr__ must do for every name it does not export.
     owners = [randaolab] + [
         importlib.import_module(f"randaolab.{m}") for m in MODULES
     ]

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
-helper is left without a reader, and a serial run loads no process-pool
-or `secrets` machinery.
+helper is left without a reader, a serial run loads no process-pool or
+`secrets` machinery, and a classic run loads neither the share layer
+(field, shamir, threshold_randao) nor `json`.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by
 a module-level import in src/randaolab/*.py (bar __init__.py, which
@@ -115,6 +116,28 @@ def test_package_has_no_unread_private_names():
 # `secrets` module the default Shamir entropy no longer needs.
 SERIAL_ABSENT = ("concurrent.futures.process", "multiprocessing", "secrets")
 
+# Modules a classic run must never load: the share layer, and `json`,
+# which only a JSON report needs.
+SHARE_LAYER = (
+    "randaolab.field",
+    "randaolab.shamir",
+    "randaolab.threshold_randao",
+)
+CLASSIC_ABSENT = SHARE_LAYER + ("json",)
+
+SRC = str(Path(randaolab.__file__).parent.parent)
+CLASSIC_SCENARIO = (
+    Path(__file__).parent.parent / "perfbench" / "scenarios"
+    / "classic-default.ini"
+)
+
+SETUP_SCRIPT = """
+import sys
+import randaolab, randaolab.cli
+randaolab.load_scenario(sys.argv[1])
+print(" ".join(m for m in {modules!r} if m in sys.modules))
+"""
+
 RUN_SCRIPT = """
 import io, os, sys
 import randaolab, randaolab.cli
@@ -122,27 +145,37 @@ from randaolab.harness import emit, run_scenario
 from randaolab.scenario import load_scenario
 
 os.cpu_count = lambda: 2  # let workers=2 open a pool on any machine
-cfg = load_scenario(overrides=dict(protocol="sss", epochs=2,
+cfg = load_scenario(overrides=dict(protocol=sys.argv[2], epochs=2,
                                    validator_count=40))
-emit(run_scenario(cfg, workers=int(sys.argv[1])), "csv", io.StringIO())
+emit(run_scenario(cfg, workers=int(sys.argv[1])), sys.argv[3], io.StringIO())
 print(" ".join(m for m in {modules!r} if m in sys.modules))
 """
 
 
-def loaded_after_run(workers: int) -> list[str]:
-    """Which of SERIAL_ABSENT a fresh interpreter holds after importing
-    the CLI and running and emitting a 2-epoch scenario."""
-    src = str(Path(randaolab.__file__).parent.parent)
+def run_fresh(script: str, *args: str) -> str:
+    """stdout of `script` in a fresh interpreter that imports this
+    checkout's randaolab."""
     result = subprocess.run(
-        [sys.executable, "-c", RUN_SCRIPT.format(modules=SERIAL_ABSENT),
-         str(workers)],
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    return result.stdout.split()
+    return result.stdout
+
+
+def loaded_after_run(
+    workers: int,
+    protocol: str = "sss",
+    fmt: str = "csv",
+    modules: tuple[str, ...] = SERIAL_ABSENT,
+) -> list[str]:
+    """Which of `modules` a fresh interpreter holds after importing the
+    CLI and running and emitting a 2-epoch scenario."""
+    script = RUN_SCRIPT.format(modules=modules)
+    return run_fresh(script, str(workers), protocol, fmt).split()
 
 
 def test_serial_run_loads_no_pool_or_secrets():
@@ -152,3 +185,47 @@ def test_serial_run_loads_no_pool_or_secrets():
 def test_parallel_run_loads_the_pool():
     # The guard above can fail: a pooled run does load the pool module.
     assert "concurrent.futures.process" in loaded_after_run(workers=2)
+
+
+def test_cli_import_and_scenario_load_skip_share_layer_and_json():
+    script = SETUP_SCRIPT.format(modules=CLASSIC_ABSENT)
+    assert run_fresh(script, str(CLASSIC_SCENARIO)).split() == []
+
+
+def test_classic_run_loads_no_share_layer_or_json():
+    loaded = loaded_after_run(1, "classic", "csv", CLASSIC_ABSENT)
+    assert loaded == []
+
+
+def test_sss_run_and_json_report_load_what_they_use():
+    # The guards above can fail: an sss run loads the share layer, and a
+    # JSON report loads json.
+    assert loaded_after_run(1, "sss", "csv", CLASSIC_ABSENT) == list(
+        SHARE_LAYER
+    )
+    assert loaded_after_run(1, "classic", "json", CLASSIC_ABSENT) == ["json"]
+
+
+POOLED_SWEEP_SCRIPT = """
+import io, os, sys
+from randaolab.harness import emit, sweep
+from randaolab.scenario import ScenarioConfig
+
+os.cpu_count = lambda: 2
+base = ScenarioConfig(epochs=3, validator_count=40)
+axes = [("protocol", ["classic", "sss"]), ("rng_seed", [1, 2])]
+cold = [m for m in {modules!r} if m in sys.modules]
+reports = {{}}
+for workers in (2, 1):
+    out = io.StringIO()
+    emit(sweep(base, axes, workers=workers), "csv", out)
+    reports[workers] = out.getvalue()
+print(len(cold), reports[2] == reports[1], reports[1].count("\\n"))
+"""
+
+
+def test_pooled_sss_sweep_from_cold_interpreter_matches_serial():
+    # Workers forked before the share layer is loaded import it on their
+    # first sss trial; the report must not change.
+    script = POOLED_SWEEP_SCRIPT.format(modules=SHARE_LAYER)
+    assert run_fresh(script).split() == ["0", "True", "5"]

@@ -70,11 +70,46 @@ def test_defaults():
         {"strategy_cap": -1},
         {"tail_limit": -3},
         {"strategy_cap": 21},
+        # Values of the wrong type, as a library caller might pass them.
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
+        {"epochs": 2.5},
+        {"epochs": "2"},
+        {"validator_count": 40.0},
+        {"validator_count": True},
+        {"strategy_cap": 2.5},
+        {"strategy_cap": False},
+        {"tail_limit": 1.5},
+        {"tail_limit": True},
+        {"protocol": "sss", "sss_threshold_n": 4.5},
+        {"protocol": "sss", "sss_threshold_n": True},
+        {"sss_threshold_n": 4.5},
+        {"attacker_stake_fraction": True},
+        {"attacker_stake_fraction": "0.3"},
+        {"participation_rate": False},
+        {"participation_rate": None},
+        {"broken_seed_fallback": "no"},
+        {"broken_seed_fallback": 1},
+        {"broken_seed_fallback": None},
+        {"protocol": b"classic"},
+        {"protocol": None},
+        {"balance_model": None},
+        {"balance_model": 3},
     ],
 )
 def test_validation_rejects(changes):
     with pytest.raises(ConfigError):
         ScenarioConfig(**changes)
+
+
+def test_validation_accepts_int_fractions_and_no_tail_limit():
+    cfg = ScenarioConfig(
+        attacker_stake_fraction=0, participation_rate=1, tail_limit=None
+    )
+    assert cfg.attacker_stake_fraction == 0
+    assert cfg.participation_rate == 1
+    cfg = ScenarioConfig(tail_limit=0, broken_seed_fallback=True)
+    assert cfg.tail_limit == 0 and cfg.broken_seed_fallback is True
 
 
 def test_one_selectable_explicit_balance_is_enough():
