@@ -5,9 +5,8 @@ two epochs later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .randao import (
     SLOTS_PER_EPOCH,
@@ -24,16 +23,22 @@ from .randao import (
 DEFAULT_STRATEGY_CAP = 20
 
 
-@dataclass(frozen=True)
-class AttackerProfile:
-    """Validators under one coordinating adversary."""
-
+class _AttackerProfileFields(NamedTuple):
     controlled: frozenset[int]
     stake_fraction: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.stake_fraction <= 1.0:
+
+class AttackerProfile(_AttackerProfileFields):
+    """Validators under one coordinating adversary."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, controlled: frozenset[int], stake_fraction: float
+    ) -> "AttackerProfile":
+        if not 0.0 <= stake_fraction <= 1.0:
             raise ValueError("stake fraction must be in [0, 1]")
+        return super().__new__(cls, controlled, stake_fraction)
 
     @classmethod
     def from_registry(
@@ -47,22 +52,26 @@ class AttackerProfile:
         return cls(indices, held / sum(balances))
 
 
-@dataclass(frozen=True)
-class Strategy:
+class _StrategyFields(NamedTuple):
+    withhold_mask: int
+    width: int
+
+
+class Strategy(_StrategyFields):
     """Withhold mask over an ordered list of decision slots.
 
     Bit i (LSB first) set means the i-th decision slot pretends to be
     absent; the all-zeros mask is honest behavior.
     """
 
-    withhold_mask: int
-    width: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.width < 0:
+    def __new__(cls, withhold_mask: int, width: int) -> "Strategy":
+        if width < 0:
             raise ValueError("width must be >= 0")
-        if not 0 <= self.withhold_mask < (1 << self.width):
+        if not 0 <= withhold_mask < (1 << width):
             raise ValueError("mask wider than the decision slot list")
+        return super().__new__(cls, withhold_mask, width)
 
     @property
     def withheld_count(self) -> int:
@@ -78,15 +87,23 @@ class Strategy:
         ]
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
+class _AttackOutcomeFields(NamedTuple):
     chosen: Strategy
     payoff: int
     honest_payoff: int
 
-    def __post_init__(self) -> None:
-        if self.payoff < self.honest_payoff:
+
+class AttackOutcome(_AttackOutcomeFields):
+    """The chosen strategy, its payoff and honest play's payoff."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, chosen: Strategy, payoff: int, honest_payoff: int
+    ) -> "AttackOutcome":
+        if payoff < honest_payoff:
             raise ValueError("chosen payoff below the honest baseline")
+        return super().__new__(cls, chosen, payoff, honest_payoff)
 
 
 def tail_decision_slots(

@@ -16,7 +16,6 @@ import os
 import random
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from hashlib import sha256
 from pathlib import Path
@@ -202,10 +201,9 @@ def _common_draws(cfg: ScenarioConfig, index: int):
     honest_proposer_validators = sorted(
         set(proposers) - profile.controlled
     )
+    rate = cfg.participation_rate
     participating = frozenset(
-        v
-        for v in honest_proposer_validators
-        if rng.random() < cfg.participation_rate
+        v for v in honest_proposer_validators if rng.random() < rate
     )
     return rng, registry, profile, assignment_seed, proposers, participating
 
@@ -218,8 +216,10 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
     _, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
+    # Read once: a record's field is a descriptor call on every read.
+    controlled = profile.controlled
     posted = [
-        reveal if v in participating or v in profile.controlled else None
+        reveal if v in participating or v in controlled else None
         for v, reveal in zip(proposers, registry.reveals(proposers, index))
     ]
     state = EpochState(index, proposers, posted)
@@ -230,7 +230,7 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
         *grind_inputs(state.posted, decision),
         index,
         registry,
-        profile.controlled,
+        controlled,
     )
     return ClassicTrialDetail(
         registry, profile, assignment_seed, state, decision, outcome
@@ -240,10 +240,9 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
 def classic_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
     detail = classic_trial_detail(cfg, index)
     posted = sum(1 for r in detail.state.posted if r is not None)
+    controlled = detail.profile.controlled
     attacker_slots_now = sum(
-        1
-        for v in detail.state.proposer_by_slot
-        if v in detail.profile.controlled
+        1 for v in detail.state.proposer_by_slot if v in controlled
     )
     return TrialRow(
         payoff=detail.outcome.payoff,
@@ -287,7 +286,8 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         envelopes.extend(
             distribute_shares(slot, reveals[slot], sss_cfg, proposers, rng)
         )
-    adversary_validators = frozenset(proposers) & profile.controlled
+    controlled = profile.controlled
+    adversary_validators = frozenset(proposers) & controlled
     observed = run_reveal_phase(
         envelopes,
         participating,
@@ -295,7 +295,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         proposer_by_slot=proposers,
         epoch=index,
     )
-    h_slots = sum(1 for v in proposers if v in profile.controlled)
+    h_slots = sum(1 for v in proposers if v in controlled)
     recovered, flip_slots = mask0_recovery(observed, profile, sss_cfg)
     flip_slots = flip_slots[: cfg.strategy_cap]
     mask0_reveals = [
@@ -306,7 +306,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         *grind_inputs(mask0_reveals, flip_slots),
         index,
         registry,
-        profile.controlled,
+        controlled,
     )
     withheld = set(outcome.chosen.withheld(flip_slots))
     per_slot = tuple(
@@ -359,8 +359,7 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
     )
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Aggregate over one scenario's trials; floats appear only here,
     derived from exact sums, so reports are reproducible bit for bit."""
 

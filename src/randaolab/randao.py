@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field as dataclass_field
 from hashlib import sha256
-from typing import Optional
+from typing import NamedTuple, Optional
 
 SLOTS_PER_EPOCH = 32
 MAX_EFFECTIVE_BALANCE = 32 * 10**9
@@ -38,19 +37,25 @@ def _le64(n: int) -> bytes:
     return n.to_bytes(8, "little")
 
 
-@dataclass(frozen=True)
-class Validator:
+class _ValidatorFields(NamedTuple):
     index: int
     secret_key: bytes
     effective_balance: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+
+class Validator(_ValidatorFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, index: int, secret_key: bytes, effective_balance: int
+    ) -> "Validator":
+        if index < 0:
             raise ValueError("index must be >= 0")
-        if len(self.secret_key) != 32:
+        if len(secret_key) != 32:
             raise ValueError("secret key must be 32 bytes")
-        if not 1 <= self.effective_balance <= MAX_EFFECTIVE_BALANCE:
+        if not 1 <= effective_balance <= MAX_EFFECTIVE_BALANCE:
             raise ValueError("effective balance out of range")
+        return super().__new__(cls, index, secret_key, effective_balance)
 
 
 def _reveals(keys: bytes, starts: Iterable[int], epoch: int) -> list[bytes]:
@@ -273,26 +278,37 @@ def count_selected(
     return _selection(seed, limits, marked, floor)[0]
 
 
-@dataclass
-class EpochState:
-    """Per-epoch ledger: proposer schedule and posted reveals."""
-
+class _EpochStateFields(NamedTuple):
     epoch: int
     proposer_by_slot: tuple[int, ...]
-    posted: list[Optional[bytes]] = dataclass_field(
-        default_factory=lambda: [None] * SLOTS_PER_EPOCH
-    )
+    posted: Optional[list[Optional[bytes]]] = None
 
-    def __post_init__(self) -> None:
-        if self.epoch < 0:
+
+class EpochState(_EpochStateFields):
+    """Per-epoch ledger: proposer schedule and posted reveals.  The
+    fields are fixed; `posted` is a list that post_reveal fills, a fresh
+    one of 32 Nones when none is given."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        epoch: int,
+        proposer_by_slot: tuple[int, ...],
+        posted: Optional[list[Optional[bytes]]] = None,
+    ) -> "EpochState":
+        if posted is None:
+            posted = [None] * SLOTS_PER_EPOCH
+        if epoch < 0:
             raise ValueError("epoch must be >= 0")
-        if len(self.proposer_by_slot) != SLOTS_PER_EPOCH:
+        if len(proposer_by_slot) != SLOTS_PER_EPOCH:
             raise ValueError(
                 f"need {SLOTS_PER_EPOCH} proposers, got "
-                f"{len(self.proposer_by_slot)}"
+                f"{len(proposer_by_slot)}"
             )
-        if len(self.posted) != SLOTS_PER_EPOCH:
+        if len(posted) != SLOTS_PER_EPOCH:
             raise ValueError("posted must have one entry per slot")
+        return super().__new__(cls, epoch, proposer_by_slot, posted)
 
     @property
     def mix(self) -> bytes:

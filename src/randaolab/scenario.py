@@ -10,11 +10,9 @@ documented in the README.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .adversary import DEFAULT_STRATEGY_CAP
 from .randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH, balance_limits
@@ -96,10 +94,7 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One simulation scenario; every run is a pure function of this."""
-
+class _ScenarioFields(NamedTuple):
     validator_count: int = 200
     balance_model: str = "uniform"
     attacker_stake_fraction: float = 0.3
@@ -112,7 +107,16 @@ class ScenarioConfig:
     tail_limit: Optional[int] = None
     broken_seed_fallback: bool = False
 
-    def __post_init__(self) -> None:
+
+class ScenarioConfig(_ScenarioFields):
+    """One simulation scenario; every run is a pure function of this."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "ScenarioConfig":
+        # The field tuple binds the arguments and fills the defaults;
+        # the checks then run on the built record.
+        self = super().__new__(cls, *args, **kwargs)
         for name, types in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) != (bool in types) or not isinstance(
@@ -163,9 +167,12 @@ class ScenarioConfig:
             )
         if self.tail_limit is not None and self.tail_limit < 0:
             raise ConfigError("tail_limit must be >= 0")
+        return self
 
     def replace(self, **changes: object) -> "ScenarioConfig":
-        return dataclasses.replace(self, **changes)
+        """This scenario with `changes`, checked again (`_replace`
+        skips the checks)."""
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def _parse_bool(s: str) -> bool:

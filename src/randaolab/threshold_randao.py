@@ -229,12 +229,13 @@ def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
     With t joined proposers, h of them the adversary's, each origin
     gets t-h or t-h-1 honest shares; n shares recover it.  Fewer than n
     joined: nothing is recoverable.  At least n joined but fewer than n
-    dishonest: the adversary cannot learn a secret early.  It can still
-    block recovery unless t-h-1 >= n, since an origin short of n honest
-    shares that its held shares top up is a flip slot: a "prevented"
-    epoch can carry bias below full participation.  n or more
-    dishonest: the adversary alone can recover, so it regains a
-    withholding lever.
+    dishonest: the adversary cannot learn a secret early.  n or more
+    dishonest: it can read every secret early.  Either way, with every
+    share distributed before the epoch, its only lever is the flip
+    set: an origin short of n honest shares that its held shares top
+    up.  That rule is the same in every case and leaves nothing to flip
+    once t-h-1 >= n; below full participation a "prevented" epoch can
+    carry bias, and at full participation a "collusion" one need not.
     """
     if n < 1:
         raise ValueError("threshold must be >= 1")
@@ -254,8 +255,9 @@ def _origin_table(
 ) -> tuple[list[tuple[ShareEnvelope, ...]], list[int]]:
     """Adversary-held envelopes per origin, in ascending x, and the
     ascending flip set of the honest-only view `state`."""
+    controlled = attacker.controlled
     held = [
-        tuple(e for e in row if e.sealed_to in attacker.controlled)
+        tuple(e for e in row if e.sealed_to in controlled)
         for row in state.shares
     ]
     n = config.threshold_n

@@ -134,6 +134,22 @@ def test_sss_collusion_fraction_matches_the_binomial_tail(stake, n):
         assert row.payoff == row.honest_payoff
 
 
+def test_sss_collusion_at_full_participation_has_no_lever():
+    # Every share is distributed before the epoch, so a collusion epoch
+    # gives the adversary early reads but no withholding lever: its only
+    # lever is the flip set, empty while t - h - 1 >= n: at t = 32 and
+    # n = 8, while h <= 23.
+    cfg = ScenarioConfig(
+        protocol="sss", attacker_stake_fraction=0.4, sss_threshold_n=8,
+        participation_rate=1.0, epochs=20, rng_seed=7,
+    )
+    report = run_scenario(cfg)
+    assert report.cases_collusion > cfg.epochs // 2
+    assert report.cases_broken == 0
+    assert report.mean_decision_width == 0.0
+    assert report.strategy_histogram == f"0:{cfg.epochs}"
+
+
 def oracle_decision_width(cfg: ScenarioConfig, index: int) -> int:
     """The flip count of trial `index` from its slot types, capped."""
     _, _, profile, _, proposers, participating = _common_draws(cfg, index)

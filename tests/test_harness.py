@@ -201,18 +201,18 @@ def construction_counts(monkeypatch):
     """Counts of validated Validators and of limit columns built, from a
     cold per-scenario cache."""
     counts = {"validators": 0, "limits": 0}
-    check_validator = randao.Validator.__post_init__
+    check_validator = randao.Validator.__new__
     balance_limits = randao.balance_limits
 
-    def counting_validator(self):
+    def counting_validator(cls, *args):
         counts["validators"] += 1
-        check_validator(self)
+        return check_validator(cls, *args)
 
     def counting_limits(balances):
         counts["limits"] += 1
         return balance_limits(balances)
 
-    monkeypatch.setattr(randao.Validator, "__post_init__", counting_validator)
+    monkeypatch.setattr(randao.Validator, "__new__", counting_validator)
     monkeypatch.setattr(randao, "balance_limits", counting_limits)
     harness._shared.cache_clear()
     return counts

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, no private
 helper is left without a reader, a serial run loads no process-pool or
 `secrets` machinery, and a classic run loads neither the share layer
-(field, shamir, threshold_randao) nor `json`.
+(field, shamir, threshold_randao) nor `json`, `dataclasses` or
+`inspect`.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by
 a module-level import in src/randaolab/*.py (bar __init__.py, which
@@ -116,14 +117,16 @@ def test_package_has_no_unread_private_names():
 # `secrets` module the default Shamir entropy no longer needs.
 SERIAL_ABSENT = ("concurrent.futures.process", "multiprocessing", "secrets")
 
-# Modules a classic run must never load: the share layer, and `json`,
-# which only a JSON report needs.
+# Modules a classic run must never load: the share layer, `json`, which
+# only a JSON report needs, and `dataclasses` with the `inspect` tree it
+# imports, which only the share layer's records need.
 SHARE_LAYER = (
     "randaolab.field",
     "randaolab.shamir",
     "randaolab.threshold_randao",
 )
-CLASSIC_ABSENT = SHARE_LAYER + ("json",)
+DATACLASSES = ("dataclasses", "inspect")
+CLASSIC_ABSENT = SHARE_LAYER + ("json",) + DATACLASSES
 
 SRC = str(Path(randaolab.__file__).parent.parent)
 CLASSIC_SCENARIO = (
@@ -198,10 +201,10 @@ def test_classic_run_loads_no_share_layer_or_json():
 
 
 def test_sss_run_and_json_report_load_what_they_use():
-    # The guards above can fail: an sss run loads the share layer, and a
-    # JSON report loads json.
+    # The guards above can fail: an sss run loads the share layer and,
+    # through its records, dataclasses; a JSON report loads json.
     assert loaded_after_run(1, "sss", "csv", CLASSIC_ABSENT) == list(
-        SHARE_LAYER
+        SHARE_LAYER + DATACLASSES
     )
     assert loaded_after_run(1, "classic", "json", CLASSIC_ABSENT) == ["json"]
 

@@ -188,8 +188,11 @@ def test_replace_revalidates():
     cfg = ScenarioConfig()
     assert cfg.replace(epochs=5).epochs == 5
     assert cfg.replace(epochs=5) is not cfg
+    assert cfg.replace(epochs=5) == cfg._replace(epochs=5)
     with pytest.raises(ConfigError):
         cfg.replace(epochs=0)
+    with pytest.raises(TypeError):
+        cfg.replace(epoch=5)
 
 
 def test_load_scenario_defaults_without_file():
