@@ -17,7 +17,6 @@ from .randao import (
     SelectionError,
     Validator,
     compute_reveal,
-    count_selected,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -66,7 +65,6 @@ _LAZY = {
         "RevealPhaseState",
         "SecurityCase",
         "ShareEnvelope",
-        "adversary_flip_set",
         "apply_flip_strategy",
         "best_flip_strategy",
         "classify_security_case",
@@ -111,13 +109,11 @@ __all__ = [
     "SssConfig",
     "Strategy",
     "Validator",
-    "adversary_flip_set",
     "apply_flip_strategy",
     "best_flip_strategy",
     "best_strategy",
     "classify_security_case",
     "compute_reveal",
-    "count_selected",
     "derive_seed",
     "distribute_shares",
     "emit",

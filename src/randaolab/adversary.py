@@ -142,16 +142,6 @@ def enumerate_strategies(
     return [Strategy(mask, h) for mask in range(1 << h)]
 
 
-def _attacker_slot_count(
-    seed: bytes, attacker: AttackerProfile, registry: Sequence[Validator]
-) -> int:
-    return sum(
-        1
-        for idx in select_proposers(seed, registry)
-        if idx in attacker.controlled
-    )
-
-
 def evaluate_strategy(
     epoch: EpochState,
     strategy: Strategy,
@@ -180,7 +170,11 @@ def evaluate_strategy(
         if reveal is not None and slot not in withheld:
             mix = bytes(a ^ b for a, b in zip(mix, reveal))
     seed = derive_seed(mix, epoch.epoch)
-    return _attacker_slot_count(seed, attacker, registry)
+    return sum(
+        1
+        for idx in select_proposers(seed, registry)
+        if idx in attacker.controlled
+    )
 
 
 def grind_inputs(
@@ -232,11 +226,11 @@ def _controlled_flags(controlled: frozenset[int], count: int) -> bytes:
 def _selection_tables(
     registry: Sequence[Validator], controlled: frozenset[int]
 ) -> tuple[Sequence[int], bytes]:
-    """What count_selected needs of the registry: its acceptance limits
-    and a controlled flag per index.  A Registry is non-empty and the
-    flags are as many as its limits, so with the 32-byte seeds of
-    _mask_seeds the grinder counts every mask without count_selected's
-    checks."""
+    """What _selection needs of the registry to count the attacker's
+    proposers: its acceptance limits and a controlled flag per index.
+    A Registry is non-empty and the flags are as many as its limits,
+    and _mask_seeds gives 32-byte seeds, so the grinder calls
+    _selection unchecked."""
     registry = Registry.of(registry)
     return registry.limits, _controlled_flags(
         frozenset(controlled), len(registry)

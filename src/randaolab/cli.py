@@ -15,14 +15,13 @@ from typing import Optional, Sequence
 
 from .adversary import Strategy, grind_inputs, mask_payoffs
 from .harness import (
-    EmitError,
     classic_trial_detail,
     emit,
     run_scenario,
     sss_trial_detail,
     sweep,
 )
-from .scenario import ConfigError, load_grid, load_scenario
+from .scenario import SCENARIO_FIELDS, ConfigError, load_grid, load_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,18 +36,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scenario_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="scenario config file")
+        # Each scenario flag's dest is the ScenarioConfig field it overrides.
         p.add_argument("--protocol", choices=("classic", "sss"))
         p.add_argument("--epochs", type=int, metavar="N")
-        p.add_argument("--seed", type=int, metavar="N", help="rng_seed")
-        p.add_argument("--validators", type=int, metavar="N",
-                       help="validator_count")
-        p.add_argument("--stake", type=float, metavar="F",
-                       help="attacker_stake_fraction")
-        p.add_argument("--participation", type=float, metavar="F",
-                       help="participation_rate")
-        p.add_argument("--threshold", type=int, metavar="N",
-                       help="sss_threshold_n")
-        p.add_argument("--cap", type=int, metavar="N", help="strategy_cap")
+        for flag, kind, metavar, field in (
+            ("--seed", int, "N", "rng_seed"),
+            ("--validators", int, "N", "validator_count"),
+            ("--stake", float, "F", "attacker_stake_fraction"),
+            ("--participation", float, "F", "participation_rate"),
+            ("--threshold", int, "N", "sss_threshold_n"),
+            ("--cap", int, "N", "strategy_cap"),
+        ):
+            p.add_argument(flag, type=kind, metavar=metavar, dest=field,
+                           help=field)
 
     simulate = sub.add_parser("simulate", help="run one scenario")
     add_scenario_flags(simulate)
@@ -73,19 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "protocol": "protocol",
-        "epochs": "epochs",
-        "seed": "rng_seed",
-        "validators": "validator_count",
-        "stake": "attacker_stake_fraction",
-        "participation": "participation_rate",
-        "threshold": "sss_threshold_n",
-        "cap": "strategy_cap",
-    }
     out = {}
-    for flag, field in mapping.items():
-        value = getattr(args, flag, None)
+    for field in SCENARIO_FIELDS:
+        value = getattr(args, field, None)
         if value is not None:
             out[field] = value
     return out
@@ -192,10 +182,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EmitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
+        # EmitError and SelectionError are RuntimeErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -361,7 +361,9 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
 
 class MetricsReport(NamedTuple):
     """Aggregate over one scenario's trials; floats appear only here,
-    derived from exact sums, so reports are reproducible bit for bit."""
+    derived from exact sums, so reports are reproducible bit for bit.
+    The fields after `scenario` are the report's metric columns, in
+    order."""
 
     scenario: ScenarioConfig
     mean_attacker_slots: float
@@ -475,33 +477,14 @@ def sweep(
     return _run_cells(grid_cells(base, axes), workers)
 
 
-METRIC_COLUMNS = (
-    "mean_attacker_slots",
-    "fair_share",
-    "bias_gain",
-    "std_error",
-    "recovery_failure_rate",
-    "cases_prevented",
-    "cases_broken",
-    "cases_collusion",
-    "strategy_histogram",
-    "mean_decision_width",
-    "mean_joined_slots",
-    "mean_attacker_proposer_slots",
-    "achieved_stake_fraction",
-)
+METRIC_COLUMNS = MetricsReport._fields[1:]
 
 COLUMNS = SCENARIO_FIELDS + METRIC_COLUMNS
 
 
 def report_row(report: MetricsReport) -> dict[str, object]:
     """Flat row, scenario parameters first, stable column order."""
-    row: dict[str, object] = {}
-    for name in SCENARIO_FIELDS:
-        row[name] = getattr(report.scenario, name)
-    for name in METRIC_COLUMNS:
-        row[name] = getattr(report, name)
-    return row
+    return dict(zip(COLUMNS, (*report.scenario, *report[1:])))
 
 
 def _cell_text(value: object) -> str:

@@ -179,10 +179,6 @@ class Registry(Sequence[Validator]):
             raise IndexError("validator index out of range")
         return _reveals(self.keys, [32 * (i % count) for i in indices], epoch)
 
-    def reveal(self, index: int, epoch: int) -> bytes:
-        """compute_reveal(self[index], epoch), without the view."""
-        return self.reveals((index,), epoch)[0]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Registry):
             return NotImplemented
@@ -254,28 +250,6 @@ def select_proposers(
     limits = Registry.of(registry).limits
     # Nothing marked; floor -1 selects every slot.
     return tuple(_selection(seed, limits, bytes(len(limits)), -1)[1])
-
-
-def count_selected(
-    seed: bytes, limits: Sequence[int], marked: Sequence[bool], floor: int
-) -> int:
-    """How many of the epoch's proposers under `seed` are marked, for
-    a registry given by its acceptance limits (Registry.limits) and one
-    flag per index: `marked` must be as long as `limits`.
-
-    The count is exact whenever it exceeds `floor`.  Otherwise counting
-    stops at the slot whose proposer is the (32 - floor)-th unmarked
-    one, since the slots left cannot lift the count above `floor`, and
-    the result is the marked count up to there, some value <= floor;
-    floor = -1 always counts every slot.
-    """
-    if len(seed) != 32:
-        raise ValueError("seed must be 32 bytes")
-    if not limits:
-        raise ValueError("registry must be non-empty")
-    if len(marked) != len(limits):
-        raise ValueError("need one marked flag per acceptance limit")
-    return _selection(seed, limits, marked, floor)[0]
 
 
 class _EpochStateFields(NamedTuple):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Optional, Sequence
 
 from .adversary import DEFAULT_STRATEGY_CAP
 from .randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH, balance_limits
@@ -76,39 +77,47 @@ def parse_balance_model(spec: str) -> tuple[str, object]:
     raise ConfigError(f"unknown balance model {spec!r}")
 
 
-# The types each field takes from library callers.  A bool passes only
-# as broken_seed_fallback, though it is an int; an int is a valid
-# fraction.
-_FIELD_TYPES = {
-    "validator_count": (int,),
-    "balance_model": (str,),
-    "attacker_stake_fraction": (int, float),
-    "protocol": (str,),
-    "sss_threshold_n": (int,),
-    "participation_rate": (int, float),
-    "epochs": (int,),
-    "rng_seed": (int,),
-    "strategy_cap": (int,),
-    "tail_limit": (int, type(None)),
-    "broken_seed_fallback": (bool,),
+def _parse_bool(s: str) -> bool:
+    low = s.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_tail_limit(s: str) -> Optional[int]:
+    return None if s.strip().lower() == "none" else int(s)
+
+
+# The scenario fields in report column order: name -> (default, the
+# parser that reads it from a config file or a CLI flag, the types a
+# library caller may pass).  A bool passes only as broken_seed_fallback,
+# though it is an int; an int is a valid fraction.
+_FIELDS = {
+    "validator_count": (200, int, (int,)),
+    "balance_model": ("uniform", str, (str,)),
+    "attacker_stake_fraction": (0.3, float, (int, float)),
+    "protocol": ("classic", str, (str,)),
+    "sss_threshold_n": (16, int, (int,)),
+    "participation_rate": (1.0, float, (int, float)),
+    "epochs": (1000, int, (int,)),
+    "rng_seed": (0, int, (int,)),
+    "strategy_cap": (12, int, (int,)),
+    "tail_limit": (None, _parse_tail_limit, (int, type(None))),
+    "broken_seed_fallback": (False, _parse_bool, (bool,)),
 }
+SCENARIO_FIELDS = tuple(_FIELDS)
+FIELD_PARSERS = {name: parse for name, (_, parse, _) in _FIELDS.items()}
 
 
-class _ScenarioFields(NamedTuple):
-    validator_count: int = 200
-    balance_model: str = "uniform"
-    attacker_stake_fraction: float = 0.3
-    protocol: str = "classic"
-    sss_threshold_n: int = 16
-    participation_rate: float = 1.0
-    epochs: int = 1000
-    rng_seed: int = 0
-    strategy_cap: int = 12
-    tail_limit: Optional[int] = None
-    broken_seed_fallback: bool = False
-
-
-class ScenarioConfig(_ScenarioFields):
+class ScenarioConfig(
+    namedtuple(
+        "_ScenarioFields",
+        SCENARIO_FIELDS,
+        defaults=[default for default, _, _ in _FIELDS.values()],
+    )
+):
     """One simulation scenario; every run is a pure function of this."""
 
     __slots__ = ()
@@ -117,8 +126,7 @@ class ScenarioConfig(_ScenarioFields):
         # The field tuple binds the arguments and fills the defaults;
         # the checks then run on the built record.
         self = super().__new__(cls, *args, **kwargs)
-        for name, types in _FIELD_TYPES.items():
-            value = getattr(self, name)
+        for value, (name, (_, _, types)) in zip(self, _FIELDS.items()):
             if isinstance(value, bool) != (bool in types) or not isinstance(
                 value, types
             ):
@@ -175,38 +183,6 @@ class ScenarioConfig(_ScenarioFields):
         return type(self)(**{**self._asdict(), **changes})
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _parse_tail_limit(s: str) -> Optional[int]:
-    return None if s.strip().lower() == "none" else int(s)
-
-
-# Scenario fields in report column order; parsers double as CLI/file
-# readers.
-FIELD_PARSERS = {
-    "validator_count": int,
-    "balance_model": str,
-    "attacker_stake_fraction": float,
-    "protocol": str,
-    "sss_threshold_n": int,
-    "participation_rate": float,
-    "epochs": int,
-    "rng_seed": int,
-    "strategy_cap": int,
-    "tail_limit": _parse_tail_limit,
-    "broken_seed_fallback": _parse_bool,
-}
-
-SCENARIO_FIELDS = tuple(FIELD_PARSERS)
-
-
 def _parse_field(key: str, raw: str) -> object:
     if key not in FIELD_PARSERS:
         raise ConfigError(f"unknown scenario key {key!r}")
@@ -249,10 +225,7 @@ def _scenario(
         if key not in FIELD_PARSERS:
             raise ConfigError(f"unknown scenario key {key!r}")
         values[key] = value
-    try:
-        return ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(**values)
 
 
 def load_scenario(
@@ -275,8 +248,6 @@ def load_grid(path: str) -> tuple[ScenarioConfig, list[tuple[str, list]]]:
             values = [
                 _parse_field(key, part) for part in raw.split(",")
             ]
-            if not values:
-                raise ConfigError(f"grid key {key} has no values")
             axes.append((key, values))
     if not axes:
         raise ConfigError("sweep config needs a non-empty [grid] section")

@@ -269,21 +269,6 @@ def _origin_table(
     return held, flip
 
 
-def adversary_flip_set(
-    state: RevealPhaseState,
-    attacker: AttackerProfile,
-    config: SssConfig,
-) -> set[int]:
-    """Origin slots whose recoverability the adversary controls: honest
-    shares alone fall short of n, honest plus adversary-held reach it.
-
-    The state must be the honest-only view (before any adversary
-    release), i.e. what a rushing adversary observes.
-    """
-    _, flip = _origin_table(state, attacker, config)
-    return set(flip)
-
-
 def apply_flip_strategy(
     state: RevealPhaseState,
     attacker: AttackerProfile,

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, emission targets, flag/ config precedence,
 and the attack-demo traces."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -10,9 +11,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from randaolab.cli import main
+from randaolab.cli import build_parser, main
 from randaolab.harness import COLUMNS, classic_trial
-from randaolab.scenario import MAX_VALIDATORS, load_scenario
+from randaolab.scenario import (
+    MAX_VALIDATORS,
+    SCENARIO_FIELDS,
+    load_scenario,
+)
 
 BASE = ["--validators", "40", "--stake", "0.3", "--epochs", "3",
         "--seed", "1"]
@@ -22,6 +27,24 @@ def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_scenario_flags_write_their_scenario_fields():
+    # A scenario flag's argparse dest is the field it overrides, so the
+    # CLI keeps no flag-to-field map of its own.
+    other = {"help", "config", "out", "format", "workers", "trial"}
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for command in ("simulate", "attack-demo"):
+        dests = {
+            action.dest
+            for action in subparsers.choices[command]._actions
+            if action.dest not in other
+        }
+        assert dests <= set(SCENARIO_FIELDS), command
+        assert len(dests) == 8, command
 
 
 # -- simulate ------------------------------------------------------------------

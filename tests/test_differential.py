@@ -40,10 +40,10 @@ from randaolab.scenario import ScenarioConfig
 from randaolab.shamir import SssConfig
 from randaolab.threshold_randao import (
     SHARES_PER_SECRET,
-    adversary_flip_set,
     apply_flip_strategy,
     best_flip_strategy,
     evaluate_flip_strategy,
+    mask0_recovery,
     recover_all,
 )
 
@@ -177,9 +177,8 @@ def test_sss_trial_matches_reveal_phase_oracle():
         detail = sss_trial_detail(cfg, index)
         sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
         cases.add(detail.case.value)
-        flippable = adversary_flip_set(
-            detail.observed, detail.profile, sss_cfg
-        )
+        _, flips = mask0_recovery(detail.observed, detail.profile, sss_cfg)
+        flippable = set(flips)
         assert detail.flip_slots == sorted(flippable)[: cfg.strategy_cap]
         capped += len(flippable) > cfg.strategy_cap
         width = len(detail.flip_slots)
@@ -227,7 +226,9 @@ def test_library_grinders_cut_as_the_trials_do(name):
         if cfg.protocol == "sss":
             detail = sss_trial_detail(cfg, index)
             sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
-            full = adversary_flip_set(detail.observed, detail.profile, sss_cfg)
+            _, full = mask0_recovery(
+                detail.observed, detail.profile, sss_cfg
+            )
             outcome = best_flip_strategy(
                 detail.observed, detail.profile, sss_cfg, detail.registry,
                 cap=cfg.strategy_cap,

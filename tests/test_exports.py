@@ -28,7 +28,9 @@ MODULES = (
 # Wire codecs, wrapper types, the unused epoch pipeline, second XOR
 # folds, restated name lists that no caller needed, per-protocol
 # runners beside run_scenario, the grinders' old over-budget error, a
-# list copy of Registry.limits, and the trial's own Lagrange recovery.
+# list copy of Registry.limits, the trial's own Lagrange recovery, and
+# library-only twins of the selection count, a registry reveal and the
+# flip set.
 REMOVED = (
     "AdversaryDecision",
     "ELEMENT_BYTES",
@@ -42,7 +44,9 @@ REMOVED = (
     "StrategyCapExceeded",
     "ZERO_MIX",
     "acceptance_limits",
+    "adversary_flip_set",
     "advance_pipeline",
+    "count_selected",
     "decode",
     "decode_envelope",
     "decode_share",
@@ -54,6 +58,7 @@ REMOVED = (
     "flip_decision_slots",
     "flip_reveals",
     "genesis_seed",
+    "reveal",
     "run_classic",
     "run_sss",
     "xor32",
@@ -131,7 +136,7 @@ def test_removed_names_stay_removed():
         importlib.import_module(f"randaolab.{m}") for m in MODULES
     ]
     owners += [randaolab.PrimeField, randaolab.FieldElement]
-    owners += [randaolab.EpochState]
+    owners += [randaolab.EpochState, randaolab.Registry]
     present = [
         (getattr(owner, "__name__", owner), name)
         for owner in owners
@@ -143,10 +148,9 @@ def test_removed_names_stay_removed():
 
 def test_selection_kernel_is_exported():
     # The column registry, whose limits are the grinding kernel's
-    # per-registry table, and the kernel's per-seed counter.
-    for name in ("Registry", "count_selected"):
-        assert name in randaolab.__all__
-        assert getattr(randaolab, name) is getattr(randaolab.randao, name)
+    # per-registry table.
+    assert "Registry" in randaolab.__all__
+    assert randaolab.Registry is randaolab.randao.Registry
 
 
 def test_sharing_takes_the_production_field_only():

@@ -595,6 +595,36 @@ def test_report_row_order_matches_columns():
     assert row["mean_attacker_slots"] == report.mean_attacker_slots
 
 
+# The report's columns are part of its bytes: scenario fields, then
+# metrics, each in this order.
+CSV_HEADER = (
+    "validator_count,balance_model,attacker_stake_fraction,protocol,"
+    "sss_threshold_n,participation_rate,epochs,rng_seed,strategy_cap,"
+    "tail_limit,broken_seed_fallback,mean_attacker_slots,fair_share,"
+    "bias_gain,std_error,recovery_failure_rate,cases_prevented,"
+    "cases_broken,cases_collusion,strategy_histogram,mean_decision_width,"
+    "mean_joined_slots,mean_attacker_proposer_slots,achieved_stake_fraction"
+)
+
+
+def test_csv_header_and_scenario_defaults_are_pinned():
+    assert ScenarioConfig()._asdict() == dict(
+        validator_count=200, balance_model="uniform",
+        attacker_stake_fraction=0.3, protocol="classic", sss_threshold_n=16,
+        participation_rate=1.0, epochs=1000, rng_seed=0, strategy_cap=12,
+        tail_limit=None, broken_seed_fallback=False,
+    )
+    metrics = (9.5, 9.6, -0.1, 0.25, 0.0, 0, 0, 0, "0:4", 0.0, 32.0, 9.5, 0.3)
+    buffer = io.StringIO()
+    emit(MetricsReport(ScenarioConfig(), *metrics), "csv", buffer)
+    # The row's text also pins each default's type (1.0, not 1).
+    assert buffer.getvalue().splitlines() == [
+        CSV_HEADER,
+        "200,uniform,0.3,classic,16,1.0,1000,0,12,none,false,"
+        "9.5,9.6,-0.1,0.25,0.0,0,0,0,0:4,0.0,32.0,9.5,0.3",
+    ]
+
+
 def test_emit_csv_round_trip():
     report = run_scenario(small(attacker_stake_fraction=0.3, epochs=5))
     buffer = io.StringIO()

@@ -19,7 +19,6 @@ from randaolab.randao import (
     SelectionError,
     Validator,
     compute_reveal,
-    count_selected,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -83,12 +82,14 @@ def test_registry_reveal_reads_the_key_column():
     registry = Registry.of(validators)
     for epoch in (0, 7, 2**40):
         for v in validators:
-            assert registry.reveal(v.index, epoch) == compute_reveal(v, epoch)
-    assert registry.reveal(-1, 3) == compute_reveal(validators[3], 3)
+            assert registry.reveals([v.index], epoch)[0] == compute_reveal(
+                v, epoch
+            )
+    assert registry.reveals([-1], 3)[0] == compute_reveal(validators[3], 3)
     with pytest.raises(IndexError):
-        registry.reveal(4, 0)
+        registry.reveals([4], 0)
     with pytest.raises(ValueError):
-        registry.reveal(0, -1)
+        registry.reveals([0], -1)
 
 
 def test_registry_reveals_are_one_pass_of_compute_reveal():
@@ -375,7 +376,7 @@ def test_select_matches_spec_oracle(registry):
         seed = sha256(b"spec%d" % i).digest()
         expected = spec_select(seed, registry)
         assert select_proposers(seed, registry) == expected
-        assert count_selected(seed, limits, marked, -1) == spec_count(
+        assert randao._selection(seed, limits, marked, -1)[0] == spec_count(
             expected, marked
         )
 
@@ -401,10 +402,10 @@ def test_selection_gives_up_after_exactly_the_try_limit(monkeypatch):
     with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
         select_proposers(seed, registry)
     with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
-        count_selected(seed, limits, marked, -1)
+        randao._selection(seed, limits, marked, -1)
     monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", k + 1)
     assert select_proposers(seed, registry) == expected
-    assert count_selected(seed, limits, marked, -1) == spec_count(
+    assert randao._selection(seed, limits, marked, -1)[0] == spec_count(
         expected, marked
     )
 
@@ -418,7 +419,7 @@ def test_all_zero_limit_registry_starves_both():
     with pytest.raises(SelectionError):
         select_proposers(seed, registry)
     with pytest.raises(SelectionError):
-        count_selected(seed, Registry.of(registry).limits, [True] * 3, -1)
+        randao._selection(seed, Registry.of(registry).limits, [True] * 3, -1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,23 +436,12 @@ def test_count_selected_is_exact_above_its_floor(seed, balances, marks, floor):
     registry = [make_validator(i, balance=b) for i, b in enumerate(balances)]
     marked = marks[: len(registry)]
     exact = sum(1 for c in select_proposers(seed, registry) if marked[c])
-    got = count_selected(seed, Registry.of(registry).limits, marked, floor)
+    limits = Registry.of(registry).limits
+    got = randao._selection(seed, limits, marked, floor)[0]
     if exact > floor:
         assert got == exact
     else:
         assert got <= floor
-
-
-def test_count_selected_validation():
-    with pytest.raises(ValueError):
-        count_selected(b"\x00" * 31, [256], [True], -1)
-    with pytest.raises(ValueError):
-        count_selected(b"\x00" * 32, [], [], -1)
-    # One flag per limit, whichever candidate is drawn first.
-    for floor in (-1, 31):
-        for marked in ([True], [True] * 201):
-            with pytest.raises(ValueError, match="marked flag"):
-                count_selected(b"\x00" * 32, (256,) * 200, marked, floor)
 
 
 @pytest.mark.parametrize(
@@ -475,7 +465,8 @@ def test_count_selected_stops_where_the_floor_is_out_of_reach(registry):
         exact = spec_count(proposers, marked)
         for floor in range(-1, SLOTS_PER_EPOCH):
             expected = spec_count(proposers, marked, floor)
-            assert count_selected(seed, limits, marked, floor) == expected
+            got = randao._selection(seed, limits, marked, floor)[0]
+            assert got == expected
             cut_short += expected < exact
     assert cut_short >= 100
 

@@ -24,7 +24,6 @@ from randaolab.shamir import SssConfig, recover, split_element
 from randaolab.threshold_randao import (
     SecurityCase,
     ShareEnvelope,
-    adversary_flip_set,
     apply_flip_strategy,
     best_flip_strategy,
     classify_security_case,
@@ -219,7 +218,7 @@ def test_release_is_planned_on_the_honest_only_view():
     cfg = SssConfig(4, 31)
     state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
-    flips = sorted(adversary_flip_set(state, profile, cfg))
+    flips = mask0_recovery(state, profile, cfg)[1]
     for mask in (0, 0b101):
         strategy = Strategy(mask, len(flips))
         once = apply_flip_strategy(state, profile, cfg, strategy)
@@ -389,7 +388,8 @@ def test_flip_set_empty_under_full_participation():
     controlled = {30, 31}
     honest = set(range(32)) - controlled
     state = phase(full_envelopes(cfg), honest, adversary=controlled)
-    assert adversary_flip_set(state, attacker_profile(controlled), cfg) == set()
+    profile = attacker_profile(controlled)
+    assert set(mask0_recovery(state, profile, cfg)[1]) == set()
 
 
 def test_flip_set_counting_edge():
@@ -400,7 +400,7 @@ def test_flip_set_counting_edge():
     honest = {0, 1, 2}  # origins inside get n-2 honest shares, others n-1
     controlled = {31}
     state = phase(envs, honest, adversary=controlled)
-    flips = adversary_flip_set(state, attacker_profile(controlled), cfg)
+    flips = set(mask0_recovery(state, attacker_profile(controlled), cfg)[1])
     # Origins 0..2 have 2 honest shares + 1 adversary share < n: stuck.
     # Origins 3..30 have 3 honest + 1 adversary = n: flippable.
     # Origin 31 gets 3 honest shares and no adversary share (no self).
@@ -446,7 +446,7 @@ def test_best_flip_matches_bruteforce_oracle():
     profile = attacker_profile(controlled)
     honest = {3, 4, 5, 6}
     state = phase(envs, honest, adversary=controlled)
-    flips = sorted(adversary_flip_set(state, profile, cfg))
+    flips = mask0_recovery(state, profile, cfg)[1]
     assert flips == [3, 4, 5, 6]
     width = len(flips)
 
@@ -470,7 +470,7 @@ def test_best_flip_cap_and_budget():
     profile = attacker_profile({31})
     # The flip set is cut to its lowest min(cap, max_flips) slots, as
     # the harness cuts it, instead of failing.
-    assert len(adversary_flip_set(state, profile, cfg)) > 8
+    assert len(set(mask0_recovery(state, profile, cfg)[1])) > 8
     capped = best_flip_strategy(state, profile, cfg, REGISTRY32, cap=8)
     assert capped.chosen.width == 8
     assert capped == best_flip_strategy(
@@ -511,7 +511,7 @@ def test_apply_flip_strategy_realizes_chosen_mask():
     controlled = {29, 30, 31}
     profile = attacker_profile(controlled)
     state = phase(envs, {3, 4, 5, 6}, adversary=controlled)
-    flips = sorted(adversary_flip_set(state, profile, cfg))
+    flips = mask0_recovery(state, profile, cfg)[1]
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
     final = apply_flip_strategy(state, profile, cfg, outcome.chosen, flips)
     recovery = recover_all(final, cfg)
@@ -558,7 +558,7 @@ def test_prevention_theorem_randomized():
         state = phase(full_envelopes(cfg, random.Random(trial)), honest,
                       adversary=controlled)
         profile = attacker_profile(controlled)
-        assert adversary_flip_set(state, profile, cfg) == set()
+        assert set(mask0_recovery(state, profile, cfg)[1]) == set()
         outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
         assert outcome.payoff == outcome.honest_payoff
         assert outcome.chosen == Strategy(0, 0)
@@ -613,7 +613,6 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
             flips.append(origin)
             recovered.add(origin)
 
-    assert adversary_flip_set(state, profile, cfg) == set(flips)
     assert mask0_recovery(state, profile, cfg) == (frozenset(recovered), flips)
     # The cryptographic path recovers the same origins, to their reveals.
     final = apply_flip_strategy(
