@@ -121,9 +121,10 @@ def tail_decision_slots(
     """
     if tail_limit is not None and tail_limit < 0:
         raise ValueError("tail_limit must be >= 0")
+    proposers, controlled = epoch.proposer_by_slot, attacker.controlled
     slots: list[int] = []
     for slot in range(SLOTS_PER_EPOCH - 1, -1, -1):
-        if epoch.proposer_by_slot[slot] not in attacker.controlled:
+        if proposers[slot] not in controlled:
             break
         slots.append(slot)
     slots = slots[:tail_limit]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Smallest prime above 2**256; verified at import by the Miller-Rabin check
 # below and independently re-derived in the test suite.
@@ -50,19 +49,23 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class _PrimeFieldFields(NamedTuple):
+    modulus: int
+
+
+class PrimeField(_PrimeFieldFields):
     """Arithmetic in GF(modulus) over plain ints.
 
     All methods take and return ints in [0, modulus); callers that want
     wrapped values use element() / FieldElement.
     """
 
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2 or not is_probable_prime(self.modulus):
-            raise ValueError(f"modulus must be prime, got {self.modulus}")
+    def __new__(cls, modulus: int) -> "PrimeField":
+        if modulus < 2 or not is_probable_prime(modulus):
+            raise ValueError(f"modulus must be prime, got {modulus}")
+        return super().__new__(cls, modulus)
 
     # -- scalar ops ------------------------------------------------------
 
@@ -161,28 +164,38 @@ class PrimeField:
         return int.from_bytes(secret, "big")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An int bound to its field; shares carry their y values this way."""
-
+class _FieldElementFields(NamedTuple):
     value: int
     field: PrimeField
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.modulus:
+
+class FieldElement(_FieldElementFields):
+    """An int bound to its field; shares carry their y values this way."""
+
+    __slots__ = ()
+
+    # Built once per share, as are SharePoint and ShareEnvelope:
+    # tuple.__new__ skips the generated __new__'s frame.
+    def __new__(cls, value: int, field: PrimeField) -> "FieldElement":
+        if not 0 <= value < field.modulus:
             raise ValueError("value out of field range")
+        return tuple.__new__(cls, (value, field))
 
 
-@dataclass(frozen=True)
-class SharePoint:
-    """An evaluation (x, f(x)) with x a small nonzero share index."""
-
+class _SharePointFields(NamedTuple):
     x: int
     y: FieldElement
 
-    def __post_init__(self) -> None:
-        if self.x < 1:
+
+class SharePoint(_SharePointFields):
+    """An evaluation (x, f(x)) with x a small nonzero share index."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: FieldElement) -> "SharePoint":
+        if x < 1:
             raise ValueError("share index must be >= 1")
+        return tuple.__new__(cls, (x, y))
 
 
 # Bound 256: a 94 % hit rate over 1000 sss epochs at stake 0.1.

@@ -9,8 +9,7 @@ the "nothing": every candidate secret stays consistent).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 from .field import (
     FIELD_256,
@@ -39,18 +38,22 @@ class Entropy(Protocol):
 SYSTEM_ENTROPY = random.SystemRandom()
 
 
-@dataclass(frozen=True)
-class SssConfig:
-    """Threshold n out of m shares."""
-
+class _SssConfigFields(NamedTuple):
     threshold_n: int
     share_count_m: int
 
-    def __post_init__(self) -> None:
-        if self.threshold_n < 1:
+
+class SssConfig(_SssConfigFields):
+    """Threshold n out of m shares."""
+
+    __slots__ = ()
+
+    def __new__(cls, threshold_n: int, share_count_m: int) -> "SssConfig":
+        if threshold_n < 1:
             raise ValueError("threshold must be >= 1")
-        if self.share_count_m < self.threshold_n:
+        if share_count_m < threshold_n:
             raise ValueError("share count must be >= threshold")
+        return super().__new__(cls, threshold_n, share_count_m)
 
 
 def _sample_polynomial(

@@ -12,9 +12,8 @@ sealed_to validator until the reveal phase.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .adversary import (
     DEFAULT_STRATEGY_CAP,
@@ -65,25 +64,33 @@ def share_index(origin_slot: int, recipient_slot: int) -> int:
     return recipient_slot
 
 
-@dataclass(frozen=True)
-class ShareEnvelope:
-    """One share of origin_slot's reveal, sealed to the proposer of
-    recipient_slot."""
-
+class _ShareEnvelopeFields(NamedTuple):
     origin_slot: int
     recipient_slot: int
     point: SharePoint
     sealed_to: int
 
-    def __post_init__(self) -> None:
-        if self.point.x != share_index(self.origin_slot, self.recipient_slot):
+
+class ShareEnvelope(_ShareEnvelopeFields):
+    """One share of origin_slot's reveal, sealed to the proposer of
+    recipient_slot."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, origin_slot: int, recipient_slot: int, point: SharePoint,
+        sealed_to: int,
+    ) -> "ShareEnvelope":
+        if point.x != share_index(origin_slot, recipient_slot):
             raise ValueError("share index does not match recipient slot")
-        if self.sealed_to < 0:
+        if sealed_to < 0:
             raise ValueError("sealed_to must be a validator index")
+        return tuple.__new__(
+            cls, (origin_slot, recipient_slot, point, sealed_to)
+        )
 
 
-@dataclass(frozen=True)
-class RevealPhaseState:
+class RevealPhaseState(NamedTuple):
     """Everything observable once the reveal phase closes, per origin.
 
     shares[o] holds origin o's envelopes in ascending share index
@@ -101,8 +108,7 @@ class RevealPhaseState:
     t: int
 
 
-@dataclass(frozen=True)
-class RecoveryOutcome:
+class RecoveryOutcome(NamedTuple):
     """per_slot holds the recovered 32-byte reveal or None; mix and seed
     treat None as an absent proposer; broken marks t < n epochs."""
 
@@ -164,23 +170,27 @@ def run_reveal_phase(
     if honest & adversarial:
         raise ValueError("a validator cannot be both honest and adversarial")
 
-    # grid[o][x]: origin o's envelope at share index x = 1..31.
+    # grid[o][r]: origin o's envelope for recipient slot r.  share_index
+    # maps r onto x in order and one to one, so r keys and orders a row
+    # as x would, and it is one field read where x is two.
     grid: list[list[Optional[ShareEnvelope]]] = [
-        [None] * (SHARES_PER_SECRET + 1) for _ in range(SLOTS_PER_EPOCH)
+        [None] * SLOTS_PER_EPOCH for _ in range(SLOTS_PER_EPOCH)
     ]
     for e in envelopes:
         row = grid[e.origin_slot]
-        if row[e.point.x] is None:
-            row[e.point.x] = e
-        elif row[e.point.x] != e:
+        r = e.recipient_slot
+        if row[r] is None:
+            row[r] = e
+        elif row[r] != e:
             raise ValueError("two different envelopes at one share index")
     revealed: set[tuple[int, int]] = set()
     for e in released:
-        if grid[e.origin_slot][e.point.x] != e:
+        origin, r, _, sealed_to = e
+        if grid[origin][r] != e:
             raise ValueError("adversary released a share never distributed")
-        if e.sealed_to not in adversarial:
+        if sealed_to not in adversarial:
             raise ValueError("adversary released a share it does not hold")
-        revealed.add((e.origin_slot, e.point.x))
+        revealed.add((origin, r))
 
     shares = tuple(tuple(e for e in row if e is not None) for row in grid)
     participants = honest | adversarial
@@ -193,7 +203,8 @@ def run_reveal_phase(
             tuple(
                 e.point
                 for e in row
-                if e.sealed_to in honest or (origin, e.point.x) in revealed
+                if e.sealed_to in honest
+                or (origin, e.recipient_slot) in revealed
             )
             for origin, row in enumerate(shares)
         ),

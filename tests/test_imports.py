@@ -1,8 +1,8 @@
-"""No module of the package imports a name it never uses, no private
-helper is left without a reader, a serial run loads no process-pool or
-`secrets` machinery, and a classic run loads neither the share layer
-(field, shamir, threshold_randao) nor `json`, `dataclasses` or
-`inspect`.
+"""No module of the package imports a name it never uses or imports
+`dataclasses`, no private helper is left without a reader, a serial run
+loads no process-pool or `secrets` machinery, a classic run loads
+neither the share layer (field, shamir, threshold_randao) nor `json`,
+and no run loads `dataclasses` or `inspect`.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by
 a module-level import in src/randaolab/*.py (bar __init__.py, which
@@ -113,13 +113,36 @@ def test_package_has_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of every module `source` imports, at any depth."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_no_module_imports_dataclasses():
+    # The records are validated NamedTuples; see tests/test_records.py.
+    assert imported_modules(
+        "def f():\n    from dataclasses import field\n"
+    ) == {"dataclasses"}
+    importers = [
+        path.name for path in PACKAGE
+        if "dataclasses" in imported_modules(path.read_text("utf-8"))
+    ]
+    assert importers == []
+
+
 # Modules a serial run must never load: the process pool's tree and the
 # `secrets` module the default Shamir entropy no longer needs.
 SERIAL_ABSENT = ("concurrent.futures.process", "multiprocessing", "secrets")
 
 # Modules a classic run must never load: the share layer, `json`, which
 # only a JSON report needs, and `dataclasses` with the `inspect` tree it
-# imports, which only the share layer's records need.
+# imports, which no run needs.
 SHARE_LAYER = (
     "randaolab.field",
     "randaolab.shamir",
@@ -201,10 +224,10 @@ def test_classic_run_loads_no_share_layer_or_json():
 
 
 def test_sss_run_and_json_report_load_what_they_use():
-    # The guards above can fail: an sss run loads the share layer and,
-    # through its records, dataclasses; a JSON report loads json.
+    # The guards above can fail: an sss run loads the share layer, and
+    # only it; a JSON report loads json.
     assert loaded_after_run(1, "sss", "csv", CLASSIC_ABSENT) == list(
-        SHARE_LAYER + DATACLASSES
+        SHARE_LAYER
     )
     assert loaded_after_run(1, "classic", "json", CLASSIC_ABSENT) == ["json"]
 
