@@ -6,6 +6,8 @@ bias, and measures a threshold-secret-sharing variant where withheld
 reveals are recovered by the other proposers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .randao import (
     DOMAIN_BEACON_PROPOSER,
     DOMAIN_RANDAO,
@@ -79,61 +81,12 @@ _LAZY_OWNER = {
     name: module for module, names in _LAZY.items() for name in names
 }
 
+# Every public binding above but the submodules, and the lazy names.
 __all__ = [
-    "AttackOutcome",
-    "AttackerProfile",
-    "ConfigError",
-    "CorruptShares",
-    "DEFAULT_STRATEGY_CAP",
-    "DOMAIN_BEACON_PROPOSER",
-    "DOMAIN_RANDAO",
-    "EmitError",
-    "EpochState",
-    "FIELD_256",
-    "FieldElement",
-    "InsufficientShares",
-    "MAX_EFFECTIVE_BALANCE",
-    "MetricsReport",
-    "PRIME_256",
-    "PrimeField",
-    "ProtocolError",
-    "RecoveryOutcome",
-    "Registry",
-    "RevealPhaseState",
-    "ScenarioConfig",
-    "SecurityCase",
-    "SelectionError",
-    "SLOTS_PER_EPOCH",
-    "ShareEnvelope",
-    "SharePoint",
-    "SssConfig",
-    "Strategy",
-    "Validator",
-    "apply_flip_strategy",
-    "best_flip_strategy",
-    "best_strategy",
-    "classify_security_case",
-    "compute_reveal",
-    "derive_seed",
-    "distribute_shares",
-    "emit",
-    "enumerate_strategies",
-    "evaluate_flip_strategy",
-    "evaluate_strategy",
-    "load_grid",
-    "load_scenario",
-    "mix_reveals",
-    "recover",
-    "recover_all",
-    "run_reveal_phase",
-    "run_scenario",
-    "secrecy_probe",
-    "select_proposers",
-    "share_index",
-    "split",
-    "sweep",
-    "tail_decision_slots",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_LAZY_OWNER)
 
 
 def __getattr__(name: str):

@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 from .adversary import (
     AttackerProfile,
     AttackOutcome,
+    best_strategy,
     grind,
     grind_inputs,
-    strategy_budget,
-    tail_decision_slots,
 )
 from .randao import (
     MAX_EFFECTIVE_BALANCE,
@@ -223,15 +222,13 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
         for v, reveal in zip(proposers, registry.reveals(proposers, index))
     ]
     state = EpochState(index, proposers, posted)
-    decision = tail_decision_slots(
-        state, profile, strategy_budget(cfg.strategy_cap, cfg.tail_limit)
+    outcome = best_strategy(
+        state, profile, registry, cfg.strategy_cap, cfg.tail_limit
     )
-    outcome = grind(
-        *grind_inputs(state.posted, decision),
-        index,
-        registry,
-        controlled,
-    )
+    # The grindable tail is a run of last slots, so the mask's width
+    # names them.
+    width = outcome.chosen.width
+    decision = list(range(SLOTS_PER_EPOCH - width, SLOTS_PER_EPOCH))
     return ClassicTrialDetail(
         registry, profile, assignment_seed, state, decision, outcome
     )

@@ -76,7 +76,7 @@ def split_element(
         value.value, config.threshold_n - 1, field, entropy
     )
     return [
-        SharePoint(x, field.element(field.eval_at(coeffs, x)))
+        SharePoint(x, FieldElement(field.eval_at(coeffs, x), field))
         for x in range(1, config.share_count_m + 1)
     ]
 
@@ -99,6 +99,9 @@ def recover_element(
 
     Uses the n lowest-x shares when more are given; extra shares from an
     honest split are redundant, so the choice cannot change the result.
+    Shares are assumed honest: nothing checks them against one
+    polynomial, so an off-polynomial share among the n lowest x changes
+    the decoded value.
     """
     pts = sorted(points, key=lambda p: p.x)
     if len(pts) < config.threshold_n:
@@ -113,8 +116,11 @@ def recover_element(
 
 
 def recover(points: Iterable[SharePoint], config: SssConfig) -> bytes:
-    """Recover the 32-byte secret; CorruptShares if the decoded value
-    falls outside the secret image (impossible for honest shares)."""
+    """Recover the 32-byte secret from an honest split's shares.
+
+    CorruptShares fires only when the decoded value is 2^256 or more; a
+    tampered share that decodes below that returns another secret
+    (see recover_element)."""
     value = recover_element(points, config)
     if value.value >= 2**256:
         raise CorruptShares(

@@ -19,6 +19,7 @@ from randaolab.adversary import (
     grind,
     grind_inputs,
     mask_payoffs,
+    strategy_budget,
     tail_decision_slots,
 )
 from randaolab.harness import (
@@ -145,6 +146,9 @@ def test_classic_mask_payoffs_match_evaluate_strategy():
         detail = classic_trial_detail(cfg, index)
         full = tail_decision_slots(detail.state, detail.profile)
         width = len(detail.decision_slots)
+        assert width == min(
+            len(full), strategy_budget(cfg.strategy_cap, cfg.tail_limit)
+        )
         assert detail.decision_slots == full[len(full) - width:]
         cut_tails += width < len(full)
         # A mask over the last `width` tail slots is the same mask

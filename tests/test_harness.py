@@ -427,6 +427,22 @@ def test_tail_limit_widens_monotonically():
     assert means[0] < means[-1]  # some epoch has a usable tail
 
 
+def test_classic_trials_grind_through_best_strategy(monkeypatch):
+    # The harness calls the library grinder through its module global,
+    # which the benchmark's tracer rebinds to count grinds and masks.
+    calls = []
+    grind = harness.best_strategy
+
+    def counting(state, profile, registry, cap, limit):
+        calls.append((cap, limit))
+        return grind(state, profile, registry, cap, limit)
+
+    monkeypatch.setattr(harness, "best_strategy", counting)
+    cfg = small(attacker_stake_fraction=0.5, tail_limit=2, epochs=5)
+    run_scenario(cfg)
+    assert calls == [(cfg.strategy_cap, 2)] * 5
+
+
 # -- sss trials ----------------------------------------------------------------
 
 def test_sss_full_participation_small_run():

@@ -114,6 +114,15 @@ def test_tampered_share_changes_recovery():
     )
     result = recover_element([bad, shares[1], shares[2]], cfg)
     assert result.value != FIELD_256.embed32(secret)
+    # Nothing checks a share against the dealer's polynomial: at n = 16
+    # an off-polynomial share among the 16 lowest x decodes silently to
+    # another 32-byte value (CorruptShares fires only at 2^256 or more).
+    cfg = SssConfig(16, 31)
+    shares = split(secret, cfg, random.Random(3))
+    bad = SharePoint(1, FIELD_256.element(shares[0].y.value + 1))
+    result = recover([bad, *shares[1:17]], cfg)
+    assert len(result) == 32 and result != secret
+    assert recover(shares[1:17], cfg) == secret
 
 
 # -- default (system) entropy -------------------------------------------
