@@ -29,7 +29,6 @@ from .adversary import (
     DEFAULT_STRATEGY_CAP,
     Strategy,
     best_strategy,
-    enumerate_strategies,
     evaluate_strategy,
     tail_decision_slots,
 )

@@ -12,7 +12,6 @@ from .randao import (
     SLOTS_PER_EPOCH,
     EpochState,
     Registry,
-    Validator,
     _seed_hasher,
     _selection,
     derive_seed,
@@ -39,17 +38,6 @@ class AttackerProfile(_AttackerProfileFields):
         if not 0.0 <= stake_fraction <= 1.0:
             raise ValueError("stake fraction must be in [0, 1]")
         return super().__new__(cls, controlled, stake_fraction)
-
-    @classmethod
-    def from_registry(
-        cls, registry: Sequence[Validator], controlled: Sequence[int]
-    ) -> "AttackerProfile":
-        balances = Registry.of(registry).balances
-        indices = frozenset(controlled)
-        if any(i < 0 or i >= len(balances) for i in indices):
-            raise ValueError("controlled index outside registry")
-        held = sum(balances[i] for i in indices)
-        return cls(indices, held / sum(balances))
 
 
 class _StrategyFields(NamedTuple):
@@ -132,22 +120,11 @@ def tail_decision_slots(
     return slots
 
 
-def enumerate_strategies(
-    h: int, cap: int = DEFAULT_STRATEGY_CAP
-) -> list[Strategy]:
-    """All 2^h masks in ascending numeric order."""
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if h > cap:
-        raise ValueError(f"2^{h} strategies exceed cap 2^{cap}")
-    return [Strategy(mask, h) for mask in range(1 << h)]
-
-
 def evaluate_strategy(
     epoch: EpochState,
     strategy: Strategy,
     attacker: AttackerProfile,
-    registry: Sequence[Validator],
+    registry: Registry,
 ) -> int:
     """Attacker proposer slots two epochs later if `strategy` is played.
 
@@ -225,14 +202,13 @@ def _controlled_flags(controlled: frozenset[int], count: int) -> bytes:
 
 
 def _selection_tables(
-    registry: Sequence[Validator], controlled: frozenset[int]
+    registry: Registry, controlled: frozenset[int]
 ) -> tuple[Sequence[int], bytes]:
     """What _selection needs of the registry to count the attacker's
     proposers: its acceptance limits and a controlled flag per index.
     A Registry is non-empty and the flags are as many as its limits,
     and _mask_seeds gives 32-byte seeds, so the grinder calls
     _selection unchecked."""
-    registry = Registry.of(registry)
     return registry.limits, _controlled_flags(
         frozenset(controlled), len(registry)
     )
@@ -242,7 +218,7 @@ def mask_payoffs(
     base_mix: int,
     toggles: Sequence[int],
     epoch: int,
-    registry: Sequence[Validator],
+    registry: Registry,
     controlled: frozenset[int],
 ) -> Iterator[int]:
     """Attacker proposer slots two epochs later for every mask over
@@ -257,7 +233,7 @@ def grind(
     base_mix: int,
     toggles: Sequence[int],
     epoch: int,
-    registry: Sequence[Validator],
+    registry: Registry,
     controlled: frozenset[int],
 ) -> AttackOutcome:
     """Best of the 2^len(toggles) masks of mask_payoffs; ties go to the
@@ -292,7 +268,7 @@ def strategy_budget(cap: int, limit: Optional[int] = None) -> int:
 def best_strategy(
     epoch: EpochState,
     attacker: AttackerProfile,
-    registry: Sequence[Validator],
+    registry: Registry,
     cap: int = DEFAULT_STRATEGY_CAP,
     tail_limit: Optional[int] = None,
 ) -> AttackOutcome:

@@ -54,10 +54,11 @@ class _PrimeFieldFields(NamedTuple):
 
 
 class PrimeField(_PrimeFieldFields):
-    """Arithmetic in GF(modulus) over plain ints.
+    """GF(modulus) over plain ints: batch inversion, polynomial
+    evaluation and interpolation; scalar arithmetic is plain `% modulus`.
 
-    All methods take and return ints in [0, modulus); callers that want
-    wrapped values use element() / FieldElement.
+    The methods return ints in [0, modulus); callers that want wrapped
+    values use element() / FieldElement.
     """
 
     __slots__ = ()
@@ -67,24 +68,7 @@ class PrimeField(_PrimeFieldFields):
             raise ValueError(f"modulus must be prime, got {modulus}")
         return super().__new__(cls, modulus)
 
-    # -- scalar ops ------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
-    def inv(self, a: int) -> int:
-        if a % self.modulus == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.modulus)
+    # -- inversion and polynomials ---------------------------------------
 
     def batch_inv(self, values: Sequence[int]) -> list[int]:
         """Invert many nonzero values with a single modular inversion."""
@@ -100,8 +84,6 @@ class PrimeField(_PrimeFieldFields):
             out[i] = acc * prefix[i] % m
             acc = acc * values[i] % m
         return out
-
-    # -- polynomials -----------------------------------------------------
 
     def eval_at(self, coefficients: Sequence[int], x: int) -> int:
         """Evaluate a polynomial given low-to-high coefficients (Horner)."""

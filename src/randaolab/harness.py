@@ -33,7 +33,6 @@ from .randao import (
     SLOTS_PER_EPOCH,
     EpochState,
     Registry,
-    Validator,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -73,53 +72,45 @@ def trial_rng(rng_seed: int, index: int) -> random.Random:
 SCENARIO_CACHE_SIZE = 16
 
 
-class _Shared(NamedTuple):
-    """What every trial of a scenario shares: for uniform and explicit
-    balances, a validated registry of them under zero keys; for pareto,
-    the shape each trial draws its own balances with."""
-
-    registry: Optional[Registry]
-    pareto_shape: Optional[float]
-
-
 @lru_cache(maxsize=SCENARIO_CACHE_SIZE)
-def _shared(balance_model: str, validator_count: int) -> _Shared:
-    """The parsed balance model and, unless every trial draws its own
-    balances, their validated balance and limit columns."""
-    model, arg = parse_balance_model(balance_model)
+def _shared(balance_model: str, validator_count: int) -> Optional[Registry]:
+    """What every trial of a scenario shares: for uniform and explicit
+    balances, a validated registry of them under zero keys; None for
+    pareto, whose trials each draw their own balances."""
+    model, balances = parse_balance_model(balance_model)
     if model == "pareto":
-        return _Shared(None, arg)
-    balances = arg
+        return None
     if model == "uniform":
         balances = [MAX_EFFECTIVE_BALANCE] * validator_count
-    return _Shared(Registry(bytes(32 * validator_count), balances), None)
+    return Registry(bytes(32 * validator_count), balances)
 
 
 def build_registry(cfg: ScenarioConfig, rng: random.Random) -> Registry:
     shared = _shared(cfg.balance_model, cfg.validator_count)
     count = cfg.validator_count
-    if shared.registry is not None:
+    if shared is not None:
         # One draw of every key leaves the RNG where one draw per
         # validator would, with the same bytes.
-        return shared.registry.with_keys(rng.randbytes(32 * count))
+        return shared.with_keys(rng.randbytes(32 * count))
+    _, shape = parse_balance_model(cfg.balance_model)
     keys = []
     balances = []
     unit = MAX_EFFECTIVE_BALANCE // 32
     for _ in range(count):
         keys.append(rng.randbytes(32))
         # Heavy tail scaled into [MAX/32, MAX].
-        draw = rng.paretovariate(shared.pareto_shape)
+        draw = rng.paretovariate(shape)
         balances.append(min(MAX_EFFECTIVE_BALANCE, int(draw * unit)))
     return Registry(b"".join(keys), balances)
 
 
 def assign_attacker(
-    cfg: ScenarioConfig, registry: Sequence[Validator]
+    cfg: ScenarioConfig, registry: Registry
 ) -> AttackerProfile:
     """Mark validators 0, 1, ... until the controlled balance reaches
     the target fraction; the achieved fraction is reported, not the
     target."""
-    balances = Registry.of(registry).balances
+    balances = registry.balances
     total = sum(balances)
     held = count = 0
     for balance in balances:
@@ -137,7 +128,7 @@ def _shared_attacker(
     """assign_attacker on the scenario's shared balance column, the
     profile of every trial of a uniform or explicit scenario; None for
     pareto, whose trials each assign their own."""
-    registry = _shared(balance_model, validator_count).registry
+    registry = _shared(balance_model, validator_count)
     if registry is None:
         return None
     cfg = ScenarioConfig(
@@ -376,14 +367,6 @@ class MetricsReport(NamedTuple):
     mean_joined_slots: float
     mean_attacker_proposer_slots: float
     achieved_stake_fraction: float
-
-    @property
-    def case_histogram(self) -> dict[str, int]:
-        return {
-            "prevented": self.cases_prevented,
-            "broken": self.cases_broken,
-            "collusion": self.cases_collusion,
-        }
 
 
 def _histogram_text(counter: Counter) -> str:

@@ -116,8 +116,9 @@ class Registry(Sequence[Validator]):
     concatenated, 32 bytes each), `balances` and their acceptance
     `limits` (see balance_limits), all indexed by validator index.
 
-    The columns are checked and the limits computed once, when the
-    registry is built.  `registry.reveals(indices, epoch)` reads the
+    It is the one validator-set type the library's functions take.  The
+    columns are checked and the limits computed once, when the registry
+    is built.  `registry.reveals(indices, epoch)` reads the
     validators' reveals straight from the key column; `registry[i]` is a
     validated Validator view.  Two registries are equal when their
     columns are.
@@ -134,17 +135,6 @@ class Registry(Sequence[Validator]):
         self.balances = balances
         self.limits = balance_limits(balances)
         self.keys = self._checked_keys(keys)
-
-    @classmethod
-    def of(cls, registry: Sequence[Validator]) -> "Registry":
-        """`registry` itself if it is a Registry, else the Registry of
-        its validators' keys and balances, in order."""
-        if isinstance(registry, cls):
-            return registry
-        return cls(
-            b"".join(v.secret_key for v in registry),
-            [v.effective_balance for v in registry],
-        )
 
     def with_keys(self, keys: bytes) -> "Registry":
         """This registry's balance and limit columns under other keys;
@@ -239,15 +229,13 @@ def _selection(
     return count, proposers
 
 
-def select_proposers(
-    seed: bytes, registry: Sequence[Validator]
-) -> tuple[int, ...]:
+def select_proposers(seed: bytes, registry: Registry) -> tuple[int, ...]:
     """One proposer index per slot, balance-weighted by acceptance
     sampling: a uniformly drawn candidate is kept with probability
     effective_balance / MAX_EFFECTIVE_BALANCE (quantized to 1/256)."""
     if len(seed) != 32:
         raise ValueError("seed must be 32 bytes")
-    limits = Registry.of(registry).limits
+    limits = registry.limits
     # Nothing marked; floor -1 selects every slot.
     return tuple(_selection(seed, limits, bytes(len(limits)), -1)[1])
 

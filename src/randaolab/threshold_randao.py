@@ -27,7 +27,7 @@ from .adversary import (
 from .field import SharePoint
 from .randao import (
     SLOTS_PER_EPOCH,
-    Validator,
+    Registry,
     derive_seed,
     mix_reveals,
     select_proposers,
@@ -324,7 +324,7 @@ def evaluate_flip_strategy(
     state: RevealPhaseState,
     attacker: AttackerProfile,
     config: SssConfig,
-    registry: Sequence[Validator],
+    registry: Registry,
     strategy: Strategy,
     flip_slots: Optional[Sequence[int]] = None,
 ) -> int:
@@ -367,7 +367,7 @@ def best_flip_strategy(
     state: RevealPhaseState,
     attacker: AttackerProfile,
     config: SssConfig,
-    registry: Sequence[Validator],
+    registry: Registry,
     cap: int = DEFAULT_STRATEGY_CAP,
     max_flips: Optional[int] = None,
 ) -> AttackOutcome:

@@ -16,7 +16,7 @@ from hashlib import sha256
 
 import pytest
 
-from randaolab.adversary import enumerate_strategies
+from randaolab.adversary import Strategy
 from randaolab.cli import main
 from randaolab.field import PrimeField
 from randaolab.harness import (
@@ -27,7 +27,7 @@ from randaolab.harness import (
 )
 from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
-    Validator,
+    Registry,
     derive_seed,
     select_proposers,
 )
@@ -180,7 +180,7 @@ def test_criterion_2_below_threshold_secrecy(announce):
 def test_criterion_3_strategy_space_size(announce):
     with verdict(announce, 3) as note:
         for h in range(11):
-            strategies = enumerate_strategies(h)
+            strategies = [Strategy(mask, h) for mask in range(1 << h)]
             assert len(strategies) == 1 << h, (
                 f"h={h}: {len(strategies)} strategies, expected {1 << h}"
             )
@@ -188,6 +188,13 @@ def test_criterion_3_strategy_space_size(announce):
                 range(1 << h)
             ), f"h={h}: masks not exhaustive/ascending"
             assert all(s.width == h for s in strategies)
+            # Exhaustive: the masks withhold every subset of the h
+            # decision slots once, and no wider mask is a strategy.
+            slots = list(range(h))
+            subsets = {tuple(s.withheld(slots)) for s in strategies}
+            assert len(subsets) == 1 << h, f"h={h}: repeated subsets"
+            with pytest.raises(ValueError):
+                Strategy(1 << h, h)
         note["detail"] = "2^h strategies, exact and exhaustive, for h = 0..10"
 
 
@@ -413,11 +420,10 @@ def test_criterion_9_deterministic_outputs(announce, tmp_path):
 
 def test_criterion_10_balance_weighted_selection(announce):
     with verdict(announce, 10) as note:
-        registry = [
-            Validator(0, sha256(b"weight0").digest(),
-                      MAX_EFFECTIVE_BALANCE // 2),
-            Validator(1, sha256(b"weight1").digest(), MAX_EFFECTIVE_BALANCE),
-        ]
+        registry = Registry(
+            sha256(b"weight0").digest() + sha256(b"weight1").digest(),
+            [MAX_EFFECTIVE_BALANCE // 2, MAX_EFFECTIVE_BALANCE],
+        )
         counts = Counter()
         draws = 10000
         for i in range(draws):

@@ -1,4 +1,4 @@
-"""Withholding attack: tail suffix extraction, strategy enumeration,
+"""Withholding attack: tail suffix extraction, the strategy record,
 payoff evaluation against a from-scratch oracle, argmax and ties."""
 
 import random
@@ -9,33 +9,29 @@ import pytest
 from randaolab.adversary import (
     AttackerProfile,
     AttackOutcome,
-    DEFAULT_STRATEGY_CAP,
     Strategy,
     best_strategy,
-    enumerate_strategies,
     evaluate_strategy,
     tail_decision_slots,
 )
+from randaolab.harness import assign_attacker
 from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
     SLOTS_PER_EPOCH,
     EpochState,
-    Validator,
+    Registry,
     compute_reveal,
     derive_seed,
     select_proposers,
 )
+from randaolab.scenario import ScenarioConfig
 
 
 def make_registry(count):
-    return [
-        Validator(
-            i,
-            sha256(b"adv" + i.to_bytes(4, "big")).digest(),
-            MAX_EFFECTIVE_BALANCE,
-        )
-        for i in range(count)
-    ]
+    keys = b"".join(
+        sha256(b"adv" + i.to_bytes(4, "big")).digest() for i in range(count)
+    )
+    return Registry(keys, [MAX_EFFECTIVE_BALANCE] * count)
 
 
 def make_epoch(proposers, registry, epoch=0, absent=()):
@@ -48,16 +44,18 @@ def make_epoch(proposers, registry, epoch=0, absent=()):
 
 
 def profile_of(registry, controlled):
-    return AttackerProfile.from_registry(registry, controlled)
+    held = sum(registry.balances[i] for i in controlled)
+    return AttackerProfile(
+        frozenset(controlled), held / sum(registry.balances)
+    )
 
 
 def test_profile_from_registry():
     registry = make_registry(10)
-    p = profile_of(registry, [0, 1, 2])
+    cfg = ScenarioConfig(validator_count=10, attacker_stake_fraction=0.3)
+    p = assign_attacker(cfg, registry)
     assert p.controlled == frozenset({0, 1, 2})
     assert p.stake_fraction == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        profile_of(registry, [99])
     with pytest.raises(ValueError):
         AttackerProfile(frozenset(), 1.5)
 
@@ -95,23 +93,6 @@ def test_tail_decision_slots_cases():
     schedule = [0] * SLOTS_PER_EPOCH  # everything attacker-held
     epoch = make_epoch(schedule, registry)
     assert tail_decision_slots(epoch, attacker) == list(range(32))
-
-
-def test_enumerate_strategies_counts_and_order():
-    for h in range(11):
-        strategies = enumerate_strategies(h)
-        assert len(strategies) == 2**h
-        assert [s.withhold_mask for s in strategies] == list(range(2**h))
-        assert all(s.width == h for s in strategies)
-
-
-def test_enumerate_strategies_cap():
-    with pytest.raises(ValueError, match="exceed cap"):
-        enumerate_strategies(DEFAULT_STRATEGY_CAP + 1)
-    with pytest.raises(ValueError, match="exceed cap"):
-        enumerate_strategies(4, cap=3)
-    with pytest.raises(ValueError):
-        enumerate_strategies(-1)
 
 
 def _oracle_payoff(epoch, withheld_slots, attacker, registry):
@@ -239,8 +220,8 @@ def test_best_strategy_matches_exhaustive_argmax_random_cases():
         outcome = best_strategy(epoch, attacker, registry)
         assert outcome.chosen.width == h
         payoffs = [
-            evaluate_strategy(epoch, s, attacker, registry)
-            for s in enumerate_strategies(h)
+            evaluate_strategy(epoch, Strategy(m, h), attacker, registry)
+            for m in range(1 << h)
         ]
         assert outcome.payoff == max(payoffs)
         assert outcome.chosen.withhold_mask == payoffs.index(max(payoffs))

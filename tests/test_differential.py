@@ -5,7 +5,8 @@ fallback, pareto balances and classic runs with a tail_limit or a tail
 cut at the cap; grind's pruned scan against every mask counted in full,
 also on the benchmark's sss-partial registry shape;
 the library grinders against the trials where the cap cuts; and a
-column registry against the equal list of Validators."""
+column registry against the Registry rebuilt from its Validator
+views."""
 
 from hashlib import sha256
 
@@ -34,7 +35,6 @@ from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
     Registry,
     SelectionError,
-    Validator,
     select_proposers,
 )
 from randaolab.scenario import ScenarioConfig
@@ -302,10 +302,9 @@ def test_grind_matches_mask_payoffs(name):
 def test_grind_matches_mask_payoffs_on_tie_heavy_registries(
     balances, base_mix, toggles, epoch
 ):
-    registry = [
-        Validator(i, sha256(b"tie%d" % i).digest(), balance)
-        for i, balance in enumerate(balances)
-    ]
+    count = len(balances)
+    keys = b"".join(sha256(b"tie%d" % i).digest() for i in range(count))
+    registry = Registry(keys, balances)
     controlled = frozenset(range(0, len(registry), 2))
     _grind_matches_full_scan(
         (base_mix, toggles, epoch, registry, controlled)
@@ -314,11 +313,8 @@ def test_grind_matches_mask_payoffs_on_tie_heavy_registries(
 
 def test_grind_raises_on_a_starved_registry():
     # Every balance below MAX/256: no candidate is ever accepted.
-    registry = [
-        Validator(i, sha256(b"s%d" % i).digest(),
-                  MAX_EFFECTIVE_BALANCE // 256 - 1)
-        for i in range(3)
-    ]
+    keys = b"".join(sha256(b"s%d" % i).digest() for i in range(3))
+    registry = Registry(keys, [MAX_EFFECTIVE_BALANCE // 256 - 1] * 3)
     with pytest.raises(SelectionError):
         grind(7, [1, 2], 0, registry, frozenset({0}))
 
@@ -337,19 +333,24 @@ def test_registry_and_validator_list_select_and_grind_alike(balance_model):
     registry = build_registry(cfg, trial_rng(6, 0))
     validators = list(registry)
     assert isinstance(registry, Registry)
-    assert type(validators) is list and registry == Registry.of(validators)
+    rebuilt = Registry(
+        b"".join(v.secret_key for v in validators),
+        [v.effective_balance for v in validators],
+    )
+    assert type(validators) is list and registry == rebuilt
+    assert [v.index for v in validators] == list(range(len(registry)))
     controlled = frozenset(range(0, len(registry), 3))
     toggles = [int.from_bytes(sha256(b"t%d" % i).digest(), "big")
                for i in range(4)]
     for epoch in range(3):
         seed = sha256(b"r%d" % epoch).digest()
         assert select_proposers(seed, registry) == select_proposers(
-            seed, validators
+            seed, rebuilt
         )
         args = (int.from_bytes(seed, "big"), toggles, epoch)
         assert grind(*args, registry, controlled) == grind(
-            *args, validators, controlled
+            *args, rebuilt, controlled
         )
         assert list(mask_payoffs(*args, registry, controlled)) == list(
-            mask_payoffs(*args, validators, controlled)
+            mask_payoffs(*args, rebuilt, controlled)
         )

@@ -29,8 +29,8 @@ MODULES = (
 # folds, restated name lists that no caller needed, per-protocol
 # runners beside run_scenario, the grinders' old over-budget error, a
 # list copy of Registry.limits, the trial's own Lagrange recovery, and
-# library-only twins of the selection count, a registry reveal and the
-# flip set.
+# library-only twins of the selection count, a registry reveal, the
+# flip set and the grinders' mask enumeration.
 REMOVED = (
     "AdversaryDecision",
     "ELEMENT_BYTES",
@@ -53,6 +53,7 @@ REMOVED = (
     "encode",
     "encode_envelope",
     "encode_share",
+    "enumerate_strategies",
     "extract32",
     "finalize",
     "flip_decision_slots",
@@ -144,6 +145,33 @@ def test_removed_names_stay_removed():
         if hasattr(owner, name)
     ]
     assert present == []
+
+
+# Methods no caller needed: the validator-list normalisation (every
+# function takes a Registry), a second way to build a profile beside
+# harness.assign_attacker, scalar field ops that are plain `% modulus`,
+# and a dict view of the report's cases_* columns.
+REMOVED_MEMBERS = (
+    ("Registry", "of"),
+    ("AttackerProfile", "from_registry"),
+    ("PrimeField", "add"),
+    ("PrimeField", "sub"),
+    ("PrimeField", "mul"),
+    ("PrimeField", "neg"),
+    ("PrimeField", "inv"),
+    ("MetricsReport", "case_histogram"),
+)
+
+
+def test_removed_members_stay_removed():
+    present = [
+        f"{owner}.{name}"
+        for owner, name in REMOVED_MEMBERS
+        if hasattr(getattr(randaolab, owner), name)
+    ]
+    assert present == []
+    # The harness's shared-columns record: the cache holds the Registry.
+    assert not hasattr(randaolab.harness, "_Shared")
 
 
 def test_selection_kernel_is_exported():

@@ -1,14 +1,18 @@
 """No module of the package imports a name it never uses or imports
-`dataclasses`, no private helper is left without a reader, a serial run
-loads no process-pool or `secrets` machinery, a classic run loads
-neither the share layer (field, shamir, threshold_randao) nor `json`,
-and no run loads `dataclasses` or `inspect`.
+`dataclasses`, no private helper is left without a reader, no public
+name is left without a caller, a serial run loads no process-pool or
+`secrets` machinery, a classic run loads neither the share layer (field,
+shamir, threshold_randao) nor `json`, and no run loads `dataclasses` or
+`inspect`.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by
 a module-level import in src/randaolab/*.py (bar __init__.py, which
 imports to re-export) must be read somewhere in that module.  Every
 module-level private name (`_x`, not dunder) defined there must be read
-somewhere in the package, as a name or as an attribute.
+somewhere in the package, as a name or as an attribute.  Every public
+function, class, method and property defined there must be read the
+same way by the package (re-exports do not count) or by the benchmark,
+bar a short REFERENCE_ONLY list.
 """
 
 import ast
@@ -16,6 +20,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -71,21 +76,26 @@ def _private_definitions(tree: ast.Module) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.endswith("__")}
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """`module:name` for each module-level private name of `sources`
-    (module name -> source) that no module reads."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+def read_names(sources: Iterable[str]) -> set[str]:
+    """Every name `sources` read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each module-level private name of `sources`
+    (module name -> source) that no module reads."""
+    read = read_names(sources.values())
     return sorted(
         f"{module}:{name}"
-        for module, tree in trees.items()
-        for name in _private_definitions(tree) - read
+        for module, text in sources.items()
+        for name in _private_definitions(ast.parse(text)) - read
     )
 
 
@@ -111,6 +121,91 @@ def test_package_has_no_unread_private_names():
         path.stem: path.read_text(encoding="utf-8") for path in PACKAGE
     }
     assert unread_private_names(sources) == []
+
+
+# Public names with no caller in the package or the benchmark, kept on
+# purpose; one line of reason each.
+REFERENCE_ONLY = {
+    # The "fewer than n shares reveal nothing" demonstration of the
+    # sharing scheme, which the tests and the acceptance suite check.
+    "shamir:secrecy_probe",
+}
+
+BENCHMARK = sorted(
+    (Path(__file__).parent.parent / "perfbench").glob("*.py")
+)
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Module-level public functions and classes, and the public
+    methods and properties of those classes, as `name` or
+    `Class.name`."""
+    names = set()
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) or node.name.startswith("_"):
+            continue
+        names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                f"{node.name}.{member.name}"
+                for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not member.name.startswith("_")
+            )
+    return names
+
+
+def unread_public_names(
+    sources: dict[str, str], readers: Iterable[str]
+) -> list[str]:
+    """`module:name` for each public function, class, method or
+    property of `sources` (module name -> source) that no source of
+    `readers` reads, as a name or as an attribute."""
+    read = read_names(readers)
+    return sorted(
+        f"{module}:{name}"
+        for module, text in sources.items()
+        for name in _public_definitions(ast.parse(text))
+        if name.rpartition(".")[2] not in read
+    )
+
+
+def test_checker_flags_unread_public_names():
+    sources = {
+        "a": (
+            "def used(): ...\n"
+            "def orphan(): ...\n"
+            "def _private(): ...\n"
+            "CONSTANT = 1\n"
+            "class Kept:\n"
+            "    def method(self): ...\n"
+            "    @property\n"
+            "    def unread(self): ...\n"
+            "    def __len__(self): ...\n"
+        ),
+        "b": "from a import Kept\nx = (Kept().method(), used)\n",
+    }
+    readers = [sources["b"]]
+    assert unread_public_names(sources, readers) == [
+        "a:Kept.unread", "a:orphan"
+    ]
+    # A re-export is an import, not a read.
+    reexport = "from a import orphan\n__all__ = ['orphan']\n"
+    assert "a:orphan" in unread_public_names(sources, readers + [reexport])
+
+
+def test_every_public_name_has_a_caller():
+    # Callers are the package's modules, bar __init__.py, which only
+    # re-exports, and the benchmark's modules.
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in PACKAGE
+    }
+    readers = [
+        path.read_text(encoding="utf-8") for path in SOURCES + BENCHMARK
+    ]
+    assert unread_public_names(sources, readers) == sorted(REFERENCE_ONLY)
 
 
 def imported_modules(source: str) -> set[str]:

@@ -36,8 +36,18 @@ def xor_bytes(a, b):
     return bytes(x ^ y for x, y in zip(a, b))
 
 
+def registry_of(validators):
+    """The Registry of `validators`' keys and balances, in order."""
+    return Registry(
+        b"".join(v.secret_key for v in validators),
+        [v.effective_balance for v in validators],
+    )
+
+
 def make_registry(count, balance=MAX_EFFECTIVE_BALANCE):
-    return [make_validator(i, balance=balance) for i in range(count)]
+    return registry_of(
+        [make_validator(i, balance=balance) for i in range(count)]
+    )
 
 
 def test_constants():
@@ -79,7 +89,7 @@ def test_compute_reveal_determinism_and_distinctness():
 
 def test_registry_reveal_reads_the_key_column():
     validators = [make_validator(i) for i in range(4)]
-    registry = Registry.of(validators)
+    registry = registry_of(validators)
     for epoch in (0, 7, 2**40):
         for v in validators:
             assert registry.reveals([v.index], epoch)[0] == compute_reveal(
@@ -94,7 +104,7 @@ def test_registry_reveal_reads_the_key_column():
 
 def test_registry_reveals_are_one_pass_of_compute_reveal():
     validators = [make_validator(i) for i in range(5)]
-    registry = Registry.of(validators)
+    registry = registry_of(validators)
     indices = (4, 0, 2, 2, -1, -5)
     for epoch in (0, 7, 2**40):
         assert registry.reveals(indices, epoch) == [
@@ -208,7 +218,7 @@ def test_select_validation_and_degenerate_registry():
     with pytest.raises(ValueError):
         select_proposers(b"\x00" * 31, make_registry(2))
     with pytest.raises(ValueError):
-        select_proposers(b"\x00" * 32, [])
+        select_proposers(b"\x00" * 32, Registry(b"", []))
     # 1 unit of balance can never pass the acceptance test.
     starved = make_registry(3, balance=1)
     with pytest.raises(SelectionError):
@@ -217,10 +227,10 @@ def test_select_validation_and_degenerate_registry():
 
 def test_selection_weights_by_balance():
     # One validator at half balance, one at full: acceptance odds 1:2.
-    registry = [
+    registry = registry_of([
         make_validator(0, balance=MAX_EFFECTIVE_BALANCE // 2),
         make_validator(1, balance=MAX_EFFECTIVE_BALANCE),
-    ]
+    ])
     counts = [0, 0]
     trials = 400
     for i in range(trials):
@@ -242,8 +252,7 @@ def test_registry_is_a_validated_validator_sequence():
             [1, MAX_EFFECTIVE_BALANCE // 2, MAX_EFFECTIVE_BALANCE]
         )
     ]
-    registry = Registry.of(validators)
-    assert Registry.of(registry) is registry
+    registry = registry_of(validators)
     assert len(registry) == 3
     assert list(registry) == validators
     assert registry[1] == validators[1] and registry[-1] == validators[2]
@@ -338,10 +347,10 @@ BOUNDARY_BALANCES = sorted(
 
 
 def test_acceptance_limits_match_the_spec_test():
-    registry = [
+    registry = registry_of([
         make_validator(i, balance=b) for i, b in enumerate(BOUNDARY_BALANCES)
-    ]
-    limits = Registry.of(registry).limits
+    ])
+    limits = registry.limits
     for v, limit in zip(registry, limits):
         for d in range(256):
             assert (d < limit) == (
@@ -361,16 +370,17 @@ def _pareto_registry(index):
     [
         _pareto_registry(0),
         _pareto_registry(1),
-        [make_validator(i, balance=b)
-         for i, b in enumerate(BOUNDARY_BALANCES)],
+        registry_of([make_validator(i, balance=b)
+                     for i, b in enumerate(BOUNDARY_BALANCES)]),
         # One selectable validator among many that never pass.
-        [make_validator(0, balance=8 * UNIT)]
-        + [make_validator(i, balance=UNIT - 1) for i in range(1, 4)],
+        registry_of([make_validator(0, balance=8 * UNIT)]
+                    + [make_validator(i, balance=UNIT - 1)
+                       for i in range(1, 4)]),
     ],
     ids=["pareto-0", "pareto-1", "boundary", "one-selectable"],
 )
 def test_select_matches_spec_oracle(registry):
-    limits = Registry.of(registry).limits
+    limits = registry.limits
     marked = [index % 3 == 0 for index in range(len(registry))]
     for i in range(40):
         seed = sha256(b"spec%d" % i).digest()
@@ -384,9 +394,9 @@ def test_select_matches_spec_oracle(registry):
 # One selectable validator among four, accepted on about 1 try in 128.
 # Under this seed slot 0 needs more tries than any other slot: its
 # candidate is first accepted on try RETRY_TRIES + 1.
-RETRY_REGISTRY = [make_validator(0, balance=8 * UNIT)] + [
+RETRY_REGISTRY = registry_of([make_validator(0, balance=8 * UNIT)] + [
     make_validator(i, balance=UNIT - 1) for i in range(1, 4)
-]
+])
 RETRY_SEED = sha256(b"retry13").digest()
 RETRY_TRIES = 357
 
@@ -396,7 +406,7 @@ def test_selection_gives_up_after_exactly_the_try_limit(monkeypatch):
     with pytest.raises(SelectionError, match="slot 0 "):
         spec_select(seed, registry, try_limit=k)
     expected = spec_select(seed, registry, try_limit=k + 1)
-    limits = Registry.of(registry).limits
+    limits = registry.limits
     marked = [True, False, True, False]
     monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", k)
     with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
@@ -411,15 +421,17 @@ def test_selection_gives_up_after_exactly_the_try_limit(monkeypatch):
 
 
 def test_all_zero_limit_registry_starves_both():
-    registry = [make_validator(i, balance=UNIT - 1) for i in range(3)]
-    assert Registry.of(registry).limits == (0, 0, 0)
+    registry = registry_of(
+        [make_validator(i, balance=UNIT - 1) for i in range(3)]
+    )
+    assert registry.limits == (0, 0, 0)
     seed = sha256(b"starved").digest()
     with pytest.raises(SelectionError):
         spec_select(seed, registry)
     with pytest.raises(SelectionError):
         select_proposers(seed, registry)
     with pytest.raises(SelectionError):
-        randao._selection(seed, Registry.of(registry).limits, [True] * 3, -1)
+        randao._selection(seed, registry.limits, [True] * 3, -1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,10 +445,12 @@ def test_all_zero_limit_registry_starves_both():
     floor=st.integers(min_value=-1, max_value=SLOTS_PER_EPOCH + 1),
 )
 def test_count_selected_is_exact_above_its_floor(seed, balances, marks, floor):
-    registry = [make_validator(i, balance=b) for i, b in enumerate(balances)]
+    registry = registry_of(
+        [make_validator(i, balance=b) for i, b in enumerate(balances)]
+    )
     marked = marks[: len(registry)]
     exact = sum(1 for c in select_proposers(seed, registry) if marked[c])
-    limits = Registry.of(registry).limits
+    limits = registry.limits
     got = randao._selection(seed, limits, marked, floor)[0]
     if exact > floor:
         assert got == exact
@@ -448,15 +462,15 @@ def test_count_selected_is_exact_above_its_floor(seed, balances, marks, floor):
     "registry",
     [
         _pareto_registry(0),
-        [make_validator(i, balance=b)
-         for i, b in enumerate(BOUNDARY_BALANCES)],
+        registry_of([make_validator(i, balance=b)
+                     for i, b in enumerate(BOUNDARY_BALANCES)]),
     ],
     ids=["pareto-0", "boundary"],
 )
 def test_count_selected_stops_where_the_floor_is_out_of_reach(registry):
     # At or below its floor, the count stops at the slot that brings the
     # unmarked proposers to 32 - floor; above it, every slot counts.
-    limits = Registry.of(registry).limits
+    limits = registry.limits
     marked = [index % 3 == 0 for index in range(len(registry))]
     cut_short = 0
     for i in range(20):

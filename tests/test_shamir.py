@@ -110,7 +110,7 @@ def test_tampered_share_changes_recovery():
     shares = split(secret, cfg, random.Random(3))
     bad = SharePoint(
         shares[0].x,
-        FIELD_256.element(FIELD_256.add(shares[0].y.value, 1)),
+        FIELD_256.element(shares[0].y.value + 1),
     )
     result = recover_element([bad, shares[1], shares[2]], cfg)
     assert result.value != FIELD_256.embed32(secret)
@@ -172,7 +172,7 @@ def test_secrecy_probe_overdetermined_consistency():
     # Break the third share: no candidate is consistent any more.
     bad = shares[:2] + [
         SharePoint(shares[2].x,
-                   F251.element(F251.add(shares[2].y.value, 1)))
+                   F251.element(shares[2].y.value + 1))
     ]
     survivors = [c for c in range(251) if secrecy_probe(bad, cfg, c)]
     assert survivors == []

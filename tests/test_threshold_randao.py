@@ -14,7 +14,7 @@ from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
     SLOTS_PER_EPOCH,
     EpochState,
-    Validator,
+    Registry,
     compute_reveal,
     derive_seed,
     mix_reveals,
@@ -37,14 +37,10 @@ from randaolab.threshold_randao import (
 
 
 def make_registry(count):
-    return [
-        Validator(
-            i,
-            sha256(b"tr" + i.to_bytes(4, "big")).digest(),
-            MAX_EFFECTIVE_BALANCE,
-        )
-        for i in range(count)
-    ]
+    keys = b"".join(
+        sha256(b"tr" + i.to_bytes(4, "big")).digest() for i in range(count)
+    )
+    return Registry(keys, [MAX_EFFECTIVE_BALANCE] * count)
 
 
 REGISTRY32 = make_registry(32)
@@ -380,7 +376,8 @@ def test_classifier_domain_errors():
 # -- flip set and suppression grind -------------------------------------------
 
 def attacker_profile(controlled):
-    return AttackerProfile.from_registry(REGISTRY32, controlled)
+    # Every balance is equal, so the stake is the controlled share.
+    return AttackerProfile(frozenset(controlled), len(controlled) / 32)
 
 
 def test_flip_set_empty_under_full_participation():
