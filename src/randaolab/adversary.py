@@ -128,13 +128,14 @@ def evaluate_strategy(
 ) -> int:
     """Attacker proposer slots two epochs later if `strategy` is played.
 
-    The mask applies to tail_decision_slots(epoch, attacker); every
-    other posted reveal stays as posted.
+    The mask applies to the last `strategy.width` tail decision slots,
+    the slots best_strategy grinds under that budget; every other
+    posted reveal stays as posted.
     """
-    decision_slots = tail_decision_slots(epoch, attacker)
-    if strategy.width != len(decision_slots):
+    decision_slots = tail_decision_slots(epoch, attacker, strategy.width)
+    if strategy.width > len(decision_slots):
         raise ValueError(
-            f"strategy width {strategy.width} does not match "
+            f"strategy width {strategy.width} exceeds "
             f"h={len(decision_slots)}"
         )
     withheld = set(strategy.withheld(decision_slots))

@@ -257,6 +257,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     # Imported here: a classic run never loads the share layer.
     from .shamir import SssConfig
     from .threshold_randao import (
+        SHARES_PER_SECRET,
         RecoveryOutcome,
         classify_security_case,
         distribute_shares,
@@ -267,13 +268,11 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     rng, registry, profile, assignment_seed, proposers, participating = (
         _common_draws(cfg, index)
     )
-    sss_cfg = SssConfig(cfg.sss_threshold_n, SLOTS_PER_EPOCH - 1)
+    sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
     reveals = registry.reveals(proposers, index)
     envelopes = []
     for slot in range(SLOTS_PER_EPOCH):
-        envelopes.extend(
-            distribute_shares(slot, reveals[slot], sss_cfg, proposers, rng)
-        )
+        envelopes.extend(distribute_shares(slot, reveals[slot], sss_cfg, rng))
     controlled = profile.controlled
     adversary_validators = frozenset(proposers) & controlled
     observed = run_reveal_phase(

@@ -92,30 +92,31 @@ def _parse_tail_limit(s: str) -> Optional[int]:
 
 # The scenario fields in report column order: name -> (default, the
 # parser that reads it from a config file or a CLI flag, the types a
-# library caller may pass).  A bool passes only as broken_seed_fallback,
-# though it is an int; an int is a valid fraction.
+# library caller may pass, the inclusive bounds (lo, hi) of its value
+# or None).  A bool passes only as broken_seed_fallback, though it is an
+# int; an int is a valid fraction; a tail_limit of None skips its bounds.
 _FIELDS = {
-    "validator_count": (200, int, (int,)),
-    "balance_model": ("uniform", str, (str,)),
-    "attacker_stake_fraction": (0.3, float, (int, float)),
-    "protocol": ("classic", str, (str,)),
-    "sss_threshold_n": (16, int, (int,)),
-    "participation_rate": (1.0, float, (int, float)),
-    "epochs": (1000, int, (int,)),
-    "rng_seed": (0, int, (int,)),
-    "strategy_cap": (12, int, (int,)),
-    "tail_limit": (None, _parse_tail_limit, (int, type(None))),
-    "broken_seed_fallback": (False, _parse_bool, (bool,)),
+    "validator_count": (200, int, (int,), (1, MAX_VALIDATORS)),
+    "balance_model": ("uniform", str, (str,), None),
+    "attacker_stake_fraction": (0.3, float, (int, float), (0, 1)),
+    "protocol": ("classic", str, (str,), None),
+    "sss_threshold_n": (16, int, (int,), None),
+    "participation_rate": (1.0, float, (int, float), (0, 1)),
+    "epochs": (1000, int, (int,), (1, math.inf)),
+    "rng_seed": (0, int, (int,), (0, 2**64 - 1)),
+    "strategy_cap": (12, int, (int,), (0, DEFAULT_STRATEGY_CAP)),
+    "tail_limit": (None, _parse_tail_limit, (int, type(None)), (0, math.inf)),
+    "broken_seed_fallback": (False, _parse_bool, (bool,), None),
 }
 SCENARIO_FIELDS = tuple(_FIELDS)
-FIELD_PARSERS = {name: parse for name, (_, parse, _) in _FIELDS.items()}
+FIELD_PARSERS = {name: parse for name, (_, parse, *_) in _FIELDS.items()}
 
 
 class ScenarioConfig(
     namedtuple(
         "_ScenarioFields",
         SCENARIO_FIELDS,
-        defaults=[default for default, _, _ in _FIELDS.values()],
+        defaults=[default for default, *_ in _FIELDS.values()],
     )
 ):
     """One simulation scenario; every run is a pure function of this."""
@@ -124,9 +125,11 @@ class ScenarioConfig(
 
     def __new__(cls, *args: object, **kwargs: object) -> "ScenarioConfig":
         # The field tuple binds the arguments and fills the defaults;
-        # the checks then run on the built record.
+        # each field's type and bounds are checked on the built record,
+        # then the checks that span fields.
         self = super().__new__(cls, *args, **kwargs)
-        for value, (name, (_, _, types)) in zip(self, _FIELDS.items()):
+        values = []
+        for value, (name, (_, _, types, bounds)) in zip(self, _FIELDS.items()):
             if isinstance(value, bool) != (bool in types) or not isinstance(
                 value, types
             ):
@@ -134,10 +137,17 @@ class ScenarioConfig(
                 raise ConfigError(
                     f"{name} must be {expected}, got {value!r}"
                 )
-        if not 1 <= self.validator_count <= MAX_VALIDATORS:
-            raise ConfigError(
-                f"validator_count must be in [1, {MAX_VALIDATORS}]"
-            )
+            if bounds is not None and value is not None:
+                lo, hi = bounds
+                if not lo <= value <= hi:  # NaN fails both comparisons
+                    raise ConfigError(
+                        f"{name} must be >= {lo}" if hi == math.inf
+                        else f"{name} must be in [{lo}, {hi}]"
+                    )
+            # -0.0 == 0.0, so equal configs must give equal report bytes.
+            if value == 0 and isinstance(value, float):
+                value = 0.0
+            values.append(value)
         model, arg = parse_balance_model(self.balance_model)
         if model == "explicit" and len(arg) != self.validator_count:
             raise ConfigError(
@@ -155,27 +165,13 @@ class ScenarioConfig(
                 "chance below 1/512 per try (a balance below MAX/256 = "
                 f"{MAX_EFFECTIVE_BALANCE // 256} is never selected)"
             )
-        if not 0.0 <= self.attacker_stake_fraction <= 1.0:
-            raise ConfigError("attacker_stake_fraction must be in [0, 1]")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}")
         if self.protocol == "sss" and not (
             1 <= self.sss_threshold_n <= SLOTS_PER_EPOCH - 1
         ):
             raise ConfigError("sss_threshold_n must be in [1, 31]")
-        if not 0.0 <= self.participation_rate <= 1.0:
-            raise ConfigError("participation_rate must be in [0, 1]")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ConfigError("rng_seed must be a 64-bit unsigned integer")
-        if not 0 <= self.strategy_cap <= DEFAULT_STRATEGY_CAP:
-            raise ConfigError(
-                f"strategy_cap must be in [0, {DEFAULT_STRATEGY_CAP}]"
-            )
-        if self.tail_limit is not None and self.tail_limit < 0:
-            raise ConfigError("tail_limit must be >= 0")
-        return self
+        return tuple.__new__(cls, values)
 
     def replace(self, **changes: object) -> "ScenarioConfig":
         """This scenario with `changes`, checked again (`_replace`

@@ -5,8 +5,9 @@ Each slot's proposer splits its reveal into 31 shares, one per other
 slot, sealed to that slot's proposer.  After the epoch, participants
 broadcast the shares they hold; any n shares recover a reveal, fewer
 leave the slot unrecoverable (it enters the mix as absent).  Encryption
-is modelled as access control: an envelope is readable only by its
-sealed_to validator until the reveal phase.
+is modelled as access control: an envelope is readable only by the
+proposer of its recipient slot, read from the schedule, until the
+reveal phase.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class _ShareEnvelopeFields(NamedTuple):
     origin_slot: int
     recipient_slot: int
     point: SharePoint
-    sealed_to: int
 
 
 class ShareEnvelope(_ShareEnvelopeFields):
@@ -78,16 +78,11 @@ class ShareEnvelope(_ShareEnvelopeFields):
     __slots__ = ()
 
     def __new__(
-        cls, origin_slot: int, recipient_slot: int, point: SharePoint,
-        sealed_to: int,
+        cls, origin_slot: int, recipient_slot: int, point: SharePoint
     ) -> "ShareEnvelope":
         if point.x != share_index(origin_slot, recipient_slot):
             raise ValueError("share index does not match recipient slot")
-        if sealed_to < 0:
-            raise ValueError("sealed_to must be a validator index")
-        return tuple.__new__(
-            cls, (origin_slot, recipient_slot, point, sealed_to)
-        )
+        return tuple.__new__(cls, (origin_slot, recipient_slot, point))
 
 
 class RevealPhaseState(NamedTuple):
@@ -122,12 +117,11 @@ def distribute_shares(
     slot: int,
     reveal: bytes,
     config: SssConfig,
-    proposers: Sequence[int],
     entropy: Entropy = SYSTEM_ENTROPY,
 ) -> list[ShareEnvelope]:
     """Split one slot's reveal into 31 envelopes, one per other slot.
 
-    A validator proposing several other slots receives one envelope per
+    A validator proposing several other slots holds one envelope per
     slot, each with a distinct share index.
     """
     if config.share_count_m != SHARES_PER_SECRET:
@@ -135,13 +129,11 @@ def distribute_shares(
             f"distribution needs m = {SHARES_PER_SECRET}, got "
             f"{config.share_count_m}"
         )
-    if len(proposers) != SLOTS_PER_EPOCH:
-        raise ValueError("need one proposer per slot")
     # share_index maps the recipients, in ascending order, onto the
     # x = 1..31 that split shares at.
     recipients = [s for s in range(SLOTS_PER_EPOCH) if s != slot]
     return [
-        ShareEnvelope(slot, r, p, proposers[r])
+        ShareEnvelope(slot, r, p)
         for r, p in zip(recipients, split(reveal, config, entropy))
     ]
 
@@ -157,18 +149,27 @@ def run_reveal_phase(
 ) -> RevealPhaseState:
     """Simultaneous honest broadcast plus the adversary's release.
 
-    Honest participants broadcast every share sealed to them; the
-    adversary broadcasts the held envelopes in `released`, chosen after
-    observing the honest broadcast (rushing model; apply_flip_strategy
-    plans it).  Adversary participants count as present even when they
-    release nothing, since they did distribute and show up.  An
-    envelope listed twice is read once; two different envelopes at one
-    (origin, share index) are rejected.
+    An envelope is held by the proposer of its recipient slot in
+    `proposer_by_slot`, one validator per slot.  Honest participants
+    broadcast every share they hold; the adversary broadcasts the held
+    envelopes in `released`, chosen after observing the honest
+    broadcast (rushing model; apply_flip_strategy plans it).  Adversary
+    participants count as present even when they release nothing, since
+    they did distribute and show up.  An envelope listed twice is read
+    once; two different envelopes at one (origin, share index) are
+    rejected.
     """
+    proposer_by_slot = tuple(proposer_by_slot)
+    if len(proposer_by_slot) != SLOTS_PER_EPOCH:
+        raise ValueError("need one proposer per slot")
     honest = frozenset(honest_participants)
     adversarial = frozenset(adversary_participants)
     if honest & adversarial:
         raise ValueError("a validator cannot be both honest and adversarial")
+    # Per slot: whether its proposer, who holds the shares sent to that
+    # slot, is an honest participant or the adversary's.
+    honest_slot = [v in honest for v in proposer_by_slot]
+    adversarial_slot = [v in adversarial for v in proposer_by_slot]
 
     # grid[o][r]: origin o's envelope for recipient slot r.  share_index
     # maps r onto x in order and one to one, so r keys and orders a row
@@ -185,10 +186,10 @@ def run_reveal_phase(
             raise ValueError("two different envelopes at one share index")
     revealed: set[tuple[int, int]] = set()
     for e in released:
-        origin, r, _, sealed_to = e
+        origin, r, _ = e
         if grid[origin][r] != e:
             raise ValueError("adversary released a share never distributed")
-        if sealed_to not in adversarial:
+        if not adversarial_slot[r]:
             raise ValueError("adversary released a share it does not hold")
         revealed.add((origin, r))
 
@@ -196,14 +197,14 @@ def run_reveal_phase(
     participants = honest | adversarial
     return RevealPhaseState(
         epoch=epoch,
-        proposer_by_slot=tuple(proposer_by_slot),
+        proposer_by_slot=proposer_by_slot,
         shares=shares,
         participants=participants,
         broadcast=tuple(
             tuple(
                 e.point
                 for e in row
-                if e.sealed_to in honest
+                if honest_slot[e.recipient_slot]
                 or (origin, e.recipient_slot) in revealed
             )
             for origin, row in enumerate(shares)
@@ -267,8 +268,9 @@ def _origin_table(
     """Adversary-held envelopes per origin, in ascending x, and the
     ascending flip set of the honest-only view `state`."""
     controlled = attacker.controlled
+    mine = [v in controlled for v in state.proposer_by_slot]
     held = [
-        tuple(e for e in row if e.sealed_to in controlled)
+        tuple(e for e in row if mine[e.recipient_slot])
         for row in state.shares
     ]
     n = config.threshold_n

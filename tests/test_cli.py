@@ -68,6 +68,21 @@ def test_simulate_stdout_json(capsys):
     assert payload[0]["validator_count"] == 40
 
 
+def test_negative_zero_fractions_emit_the_zero_report(capsys):
+    # -0.0 == 0.0, so the two scenarios are equal and so are their
+    # report bytes.
+    reports = [
+        run_main(
+            ["simulate", *BASE, "--protocol", "sss", "--stake", zero,
+             "--participation", zero],
+            capsys,
+        )
+        for zero in ("-0.0", "0.0")
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
+
+
 def test_simulate_to_file_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -151,13 +151,10 @@ def test_classic_mask_payoffs_match_evaluate_strategy():
         )
         assert detail.decision_slots == full[len(full) - width:]
         cut_tails += width < len(full)
-        # A mask over the last `width` tail slots is the same mask
-        # shifted past the slots the tail_limit or the cap leaves out.
-        shift = len(full) - width
         oracle = [
             evaluate_strategy(
-                detail.state, Strategy(mask << shift, len(full)),
-                detail.profile, detail.registry,
+                detail.state, Strategy(mask, width), detail.profile,
+                detail.registry,
             )
             for mask in range(1 << width)
         ]
@@ -172,6 +169,32 @@ def test_classic_mask_payoffs_match_evaluate_strategy():
             max(oracle)
         )
     assert cut_tails >= 1
+
+
+def test_cut_tail_outcome_is_the_argmax_of_evaluate_strategy():
+    # strategy_cap=1 cuts each epoch's tail to its last slot; the
+    # strategy is scored over that slot, the one the trial grinds.
+    cfg = ScenarioConfig(
+        validator_count=40, attacker_stake_fraction=0.7, rng_seed=1,
+        strategy_cap=1, epochs=3,
+    )
+    tails = []
+    for index in range(cfg.epochs):
+        detail = classic_trial_detail(cfg, index)
+        tails.append(len(tail_decision_slots(detail.state, detail.profile)))
+        width = detail.outcome.chosen.width
+        payoffs = [
+            evaluate_strategy(
+                detail.state, Strategy(mask, width), detail.profile,
+                detail.registry,
+            )
+            for mask in range(1 << width)
+        ]
+        assert detail.outcome.chosen.withhold_mask == payoffs.index(
+            max(payoffs)
+        )
+        assert detail.outcome.payoff == max(payoffs)
+    assert tails == [2, 5, 7]
 
 
 def test_sss_trial_matches_reveal_phase_oracle():

@@ -186,5 +186,16 @@ def test_sharing_takes_the_production_field_only():
         assert "field" not in inspect.signature(fn).parameters
 
 
+def test_share_holder_is_read_from_the_schedule_only():
+    # An envelope's holder is the proposer of its recipient slot, so
+    # neither the envelope nor its distribution names a validator.
+    assert "proposers" not in inspect.signature(
+        randaolab.distribute_shares
+    ).parameters
+    assert randaolab.ShareEnvelope._fields == (
+        "origin_slot", "recipient_slot", "point"
+    )
+
+
 def test_split_element_takes_no_x_coords():
     assert "x_coords" not in inspect.signature(split_element).parameters

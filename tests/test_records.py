@@ -26,7 +26,7 @@ METRICS = (9.5, 9.6, -0.1, 0.25, 0.0, 0, 0, 0, "0:4", 0.0, 32.0, 9.5, 0.3)
 F17 = PrimeField(17)
 POINT = SharePoint(1, FieldElement(3, F17))
 # Origin slot 0's share for recipient slot 1 sits at share index 1.
-ENVELOPE = ShareEnvelope(0, 1, POINT, 7)
+ENVELOPE = ShareEnvelope(0, 1, POINT)
 
 # (record, its field names in order, bad fields, the error they raise;
 # None where the record has no checks)
@@ -62,7 +62,7 @@ RECORDS = [
     (POINT, ("x", "y"), dict(x=0), ValueError),
     (SssConfig(2, 5), ("threshold_n", "share_count_m"),
      dict(threshold_n=0), ValueError),
-    (ENVELOPE, ("origin_slot", "recipient_slot", "point", "sealed_to"),
+    (ENVELOPE, ("origin_slot", "recipient_slot", "point"),
      dict(point=SharePoint(2, POINT.y)), ValueError),
     (RevealPhaseState(4, PROPOSERS, ((ENVELOPE,),) + ((),) * 31,
                       frozenset({7}), ((POINT,),) + ((),) * 31, 1),

@@ -59,6 +59,9 @@ def test_defaults():
          "validator_count": 40},
         {"attacker_stake_fraction": -0.1},
         {"attacker_stake_fraction": 1.5},
+        {"attacker_stake_fraction": math.nan},
+        {"attacker_stake_fraction": math.inf},
+        {"participation_rate": -math.inf},
         {"protocol": "pos"},
         {"protocol": "sss", "sss_threshold_n": 0},
         {"protocol": "sss", "sss_threshold_n": 32},
@@ -106,10 +109,22 @@ def test_validation_accepts_int_fractions_and_no_tail_limit():
     cfg = ScenarioConfig(
         attacker_stake_fraction=0, participation_rate=1, tail_limit=None
     )
+    assert type(cfg.attacker_stake_fraction) is int
     assert cfg.attacker_stake_fraction == 0
     assert cfg.participation_rate == 1
     cfg = ScenarioConfig(tail_limit=0, broken_seed_fallback=True)
     assert cfg.tail_limit == 0 and cfg.broken_seed_fallback is True
+
+
+def test_range_errors_name_the_field_and_its_bounds():
+    for changes, message in [
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"strategy_cap": 21}, "strategy_cap must be in [0, 20]"),
+        ({"rng_seed": 2**64}, f"rng_seed must be in [0, {2**64 - 1}]"),
+    ]:
+        with pytest.raises(ConfigError) as raised:
+            ScenarioConfig(**changes)
+        assert str(raised.value) == message
 
 
 def test_one_selectable_explicit_balance_is_enough():

@@ -48,14 +48,12 @@ IDENTITY = tuple(range(32))  # slot s proposed by validator s
 REVEALS = [compute_reveal(REGISTRY32[s], 0) for s in range(32)]
 
 
-def full_envelopes(cfg, rng=None, proposers=IDENTITY, reveals=None):
+def full_envelopes(cfg, rng=None, reveals=None):
     rng = rng or random.Random(0)
     reveals = reveals or REVEALS
     envelopes = []
     for slot in range(SLOTS_PER_EPOCH):
-        envelopes.extend(
-            distribute_shares(slot, reveals[slot], cfg, proposers, rng)
-        )
+        envelopes.extend(distribute_shares(slot, reveals[slot], cfg, rng))
     return envelopes
 
 
@@ -100,47 +98,50 @@ def test_share_index_validation():
 
 def test_distribute_fans_out_to_all_other_slots():
     cfg = SssConfig(16, 31)
-    envs = distribute_shares(5, REVEALS[5], cfg, IDENTITY, random.Random(1))
+    envs = distribute_shares(5, REVEALS[5], cfg, random.Random(1))
     assert len(envs) == 31
     assert sorted(e.recipient_slot for e in envs) == [
         s for s in range(32) if s != 5
     ]
     assert all(e.origin_slot == 5 for e in envs)
-    assert all(e.sealed_to == e.recipient_slot for e in envs)
     assert sorted(e.point.x for e in envs) == list(range(1, 32))
 
 
 def test_distribute_requires_m_31_and_full_schedule():
     with pytest.raises(ValueError):
-        distribute_shares(0, REVEALS[0], SssConfig(4, 30), IDENTITY,
-                          random.Random(1))
-    with pytest.raises(ValueError):
-        distribute_shares(0, REVEALS[0], SssConfig(4, 31), (0,) * 31,
-                          random.Random(1))
+        distribute_shares(0, REVEALS[0], SssConfig(4, 30), random.Random(1))
+    # The schedule, which names each share's holder, is checked where
+    # the shares are read: a 31-slot schedule leaves one slot unheld.
+    envs = full_envelopes(SssConfig(4, 31))
+    with pytest.raises(ValueError, match="one proposer per slot"):
+        phase(envs, set(range(32)), proposers=IDENTITY[:31])
 
 
 def test_distributed_shares_recover_reveal():
     cfg = SssConfig(7, 31)
-    envs = distribute_shares(9, REVEALS[9], cfg, IDENTITY, random.Random(2))
+    envs = distribute_shares(9, REVEALS[9], cfg, random.Random(2))
     subset = random.Random(3).sample([e.point for e in envs], 7)
     assert recover(subset, cfg) == REVEALS[9]
 
 
 def test_duplicate_proposer_receives_distinct_indices():
+    # Validator 7 proposes slots 0..15 and holds one share of origin
+    # 16 per slot, each at its own x, and broadcasts all 16.
     proposers = tuple([7] * 16 + [9] * 16)
     cfg = SssConfig(4, 31)
-    envs = distribute_shares(0, REVEALS[0], cfg, proposers, random.Random(4))
-    to_seven = [e.point.x for e in envs if e.sealed_to == 7]
-    assert len(to_seven) == 15  # slots 1..15
-    assert len(set(to_seven)) == 15
+    state = phase(full_envelopes(cfg), {7}, proposers=proposers)
+    held = [e.point.x for e in state.shares[16] if e.recipient_slot < 16]
+    assert held == list(range(1, 17))
+    assert [p.x for p in state.broadcast[16]] == held
+    # Origin 0 sends to slots 1..15 only: 15 shares at distinct x.
+    assert [p.x for p in state.broadcast[0]] == list(range(1, 16))
 
 
 def test_envelope_x_consistency_enforced():
     cfg = SssConfig(2, 31)
     point = SharePoint(7, FIELD_256.element(5))
     with pytest.raises(ValueError):
-        ShareEnvelope(origin_slot=1, recipient_slot=2, point=point,
-                      sealed_to=0)
+        ShareEnvelope(origin_slot=1, recipient_slot=2, point=point)
 
 
 # -- reveal phase -----------------------------------------------------------
@@ -172,12 +173,12 @@ def test_reveal_phase_rejects_overlapping_sets_and_foreign_shares():
     with pytest.raises(ValueError):
         phase(envs, {1, 2}, adversary={2, 3})
     foreign = distribute_shares(
-        0, sha256(b"other").digest(), cfg, IDENTITY, random.Random(9)
+        0, sha256(b"other").digest(), cfg, random.Random(9)
     )
     with pytest.raises(ValueError, match="never distributed"):
         phase(envs, {1}, [foreign[0]], adversary={3})
     # Releasing a share sealed to someone else is also rejected.
-    not_mine = [e for e in envs if e.sealed_to == 5][0]
+    not_mine = [e for e in envs if IDENTITY[e.recipient_slot] == 5][0]
     with pytest.raises(ValueError, match="does not hold"):
         phase(envs, {1}, [not_mine], adversary={3})
 
@@ -186,9 +187,7 @@ def test_reveal_phase_rejects_two_envelopes_at_one_share_index():
     # A second split of origin 0 puts a different envelope at each of
     # its share indices; recovery could not pick between them.
     cfg = SssConfig(4, 31)
-    second = distribute_shares(
-        0, REVEALS[0], cfg, IDENTITY, random.Random(99)
-    )
+    second = distribute_shares(0, REVEALS[0], cfg, random.Random(99))
     with pytest.raises(ValueError, match="share index"):
         phase(full_envelopes(cfg) + second, set(range(32)))
 
@@ -196,7 +195,7 @@ def test_reveal_phase_rejects_two_envelopes_at_one_share_index():
 def test_reveal_phase_reads_shuffled_and_repeated_envelopes_alike():
     cfg = SssConfig(4, 31)
     envs = full_envelopes(cfg)
-    mine = [e for e in envs if e.sealed_to == 31][:2]
+    mine = [e for e in envs if IDENTITY[e.recipient_slot] == 31][:2]
     state = phase(envs, set(range(8)), mine, adversary={31})
     shuffled = envs + envs[:40]
     random.Random(5).shuffle(shuffled)
@@ -239,7 +238,7 @@ def test_t_counts_distributed_and_participating_slots():
         for slot in range(32)
         if slot != 3
         for e in distribute_shares(
-            slot, REVEALS[slot], cfg, IDENTITY, random.Random(slot)
+            slot, REVEALS[slot], cfg, random.Random(slot)
         )
     ]
     state = phase(envs, {1, 2, 3, 4}, adversary={9})
@@ -250,13 +249,8 @@ def test_t_counts_distributed_and_participating_slots():
 def test_duplicate_proposer_t_counts_slots():
     proposers = tuple([7] * 30 + [8, 9])
     cfg = SssConfig(4, 31)
-    rng = random.Random(0)
     reveals = [compute_reveal(REGISTRY32[p], 0) for p in proposers]
-    envs = []
-    for slot in range(32):
-        envs.extend(
-            distribute_shares(slot, reveals[slot], cfg, proposers, rng)
-        )
+    envs = full_envelopes(cfg, reveals=reveals)
     state = phase(envs, {7, 9}, proposers=proposers)
     assert state.t == 31  # validator 7's 30 slots + validator 9's slot
 
@@ -301,9 +295,7 @@ def corrupt_origin_state(cfg):
     points = split_element(
         FIELD_256.element(2**256 + 5), SssConfig(2, 31), random.Random(8)
     )
-    envs += [
-        ShareEnvelope(0, r, p, r) for r, p in zip(recipients, points)
-    ]
+    envs += [ShareEnvelope(0, r, p) for r, p in zip(recipients, points)]
     return phase(envs, set(range(32)))
 
 
@@ -586,7 +578,7 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
     controlled = {v for v in range(12) if types[v] == ATTACKER}
     present = {v for v in range(12) if types[v] == PRESENT}
     state = phase(
-        full_envelopes(cfg, random.Random(seed), proposers, reveals),
+        full_envelopes(cfg, random.Random(seed), reveals),
         present, adversary=controlled & set(proposers),
         proposers=proposers,
     )
@@ -602,7 +594,9 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
     for origin, kind in enumerate(slot_type):
         assert len(state.broadcast[origin]) == honest[kind]
         assert sum(
-            1 for e in state.shares[origin] if e.sealed_to in controlled
+            1
+            for e in state.shares[origin]
+            if proposers[e.recipient_slot] in controlled
         ) == held[kind]
         if honest[kind] >= n:
             recovered.add(origin)
