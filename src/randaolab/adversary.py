@@ -240,20 +240,35 @@ def grind(
     """Best of the 2^len(toggles) masks of mask_payoffs; ties go to the
     smallest mask value.
 
+    A reveal does not depend on the slot, so a validator with two
+    decision slots gives two equal toggles.  Only the masks over the
+    distinct toggles, in order of first appearance, are scored, and the
+    winner's bit i is put back where distinct toggle i first appears.
+    This is exact: each mask has one over first appearances with the
+    same mix and no larger value, and putting the bits back keeps mask
+    order, so the smallest winner maps to the smallest winning mask.
+
     Mask 0 is counted in full, so honest_payoff is exact.  Every later
     mask is counted against the best count so far as its floor: only a
     strictly larger count wins, so a mask is dropped as soon as its
     remaining slots cannot lift it above that floor, and the winner's
     count is always complete.
     """
+    distinct = list(dict.fromkeys(toggles))
     limits, marked = _selection_tables(registry, controlled)
-    seeds = _mask_seeds(base_mix, toggles, epoch)
+    seeds = _mask_seeds(base_mix, distinct, epoch)
     honest = best = _selection(next(seeds), limits, marked, -1)[0]
     best_mask = 0
     for mask, seed in enumerate(seeds, 1):
         payoff = _selection(seed, limits, marked, best)[0]
         if payoff > best:
             best, best_mask = payoff, mask
+    if len(distinct) < len(toggles):
+        best_mask = sum(
+            1 << toggles.index(toggle)
+            for i, toggle in enumerate(distinct)
+            if best_mask >> i & 1
+        )
     return AttackOutcome(Strategy(best_mask, len(toggles)), best, honest)
 
 

@@ -100,9 +100,15 @@ def _mask_bits(mask: int, width: int) -> str:
 
 
 def _print_masks(detail, index: int, reveals, slots, verb: str) -> None:
-    """One line per mask over `slots`, each scored by the grinding
-    kernel on the trial's own inputs."""
+    """The slots whose reveal repeats an earlier slot's, which the
+    grinder scores once, then one line per mask over `slots`, each
+    scored by the grinding kernel on the trial's own inputs."""
     width = len(slots)
+    posted = [reveals[s] for s in slots]
+    repeats = [s for i, s in enumerate(slots) if posted.index(posted[i]) < i]
+    distinct = width - len(repeats)
+    print(f"slots repeating an earlier slot's reveal: {repeats} "
+          f"(grind scores 2^{distinct} = {1 << distinct} mixes)")
     chosen = detail.outcome.chosen.withhold_mask
     payoffs = mask_payoffs(
         *grind_inputs(reveals, slots),

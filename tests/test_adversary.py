@@ -1,17 +1,21 @@
 """Withholding attack: tail suffix extraction, the strategy record,
-payoff evaluation against a from-scratch oracle, argmax and ties."""
+payoff evaluation against a from-scratch oracle, argmax and ties, and
+the number of selections a grind runs."""
 
 import random
 from hashlib import sha256
 
 import pytest
 
+from randaolab import adversary
 from randaolab.adversary import (
     AttackerProfile,
     AttackOutcome,
     Strategy,
     best_strategy,
     evaluate_strategy,
+    grind,
+    mask_payoffs,
     tail_decision_slots,
 )
 from randaolab.harness import assign_attacker
@@ -247,3 +251,38 @@ def test_tail_limit_restricts_and_nests():
     ).payoff == best_strategy(
         epoch, attacker, registry, tail_limit=0
     ).honest_payoff
+
+
+@pytest.fixture
+def selections(monkeypatch):
+    """Every proposer-selection run the grinder makes, one entry each."""
+    calls = []
+    select = adversary._selection
+
+    def counted(*args):
+        calls.append(args)
+        return select(*args)
+
+    monkeypatch.setattr(adversary, "_selection", counted)
+    return calls
+
+
+TOGGLES = [int.from_bytes(sha256(b"tog%d" % i).digest(), "big")
+           for i in range(5)]
+
+
+def test_grind_scores_each_distinct_mix_once(selections):
+    a, b, c = TOGGLES[:3]
+    registry = make_registry(8)
+    controlled = frozenset({0, 3, 5})
+    grind(11, [a, b, a, c, b], 2, registry, controlled)
+    assert len(selections) == 2**3
+    selections.clear()
+    payoffs = list(mask_payoffs(11, [a, b, a, c, b], 2, registry, controlled))
+    assert len(payoffs) == len(selections) == 32
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_grind_scores_every_mask_of_distinct_toggles(selections, width):
+    grind(11, TOGGLES[:width], 2, make_registry(8), frozenset({0, 3, 5}))
+    assert len(selections) == 2**width

@@ -334,6 +334,27 @@ def test_attack_demo_sss_trace(capsys):
     assert "unrecoverable slots after attack:" in out
 
 
+def test_attack_demo_names_repeated_reveals(capsys):
+    # Flip slots 0-5 have proposers 7, 17, 5, 17, 23, 17: slots 3 and 5
+    # repost slot 1's reveal, so the grinder scores 2^4 of the 64 masks.
+    code, out, _ = run_main(
+        ["attack-demo", "--protocol", "sss", "--validators", "40",
+         "--stake", "0.3", "--participation", "0.1", "--threshold", "4",
+         "--cap", "6", "--seed", "0", "--trial", "0"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index(
+        "flippable origin slots: [0, 1, 2, 3, 4, 5] (2^6 = 64 strategies)"
+    )
+    assert lines[at + 1] == ("slots repeating an earlier slot's reveal: "
+                             "[3, 5] (grind scores 2^4 = 16 mixes)")
+    mask_lines = [l for l in lines if l.startswith("  mask ")]
+    assert len(mask_lines) == 64
+    assert lines[at + 2] == mask_lines[0]
+
+
 def test_attack_demo_replays_the_trial_under_a_tail_limit(tmp_path, capsys):
     # Trial 1's tail has 5 slots; the config keeps only the last one.
     path = tmp_path / "run.ini"

@@ -3,7 +3,8 @@ reveal-phase oracle, field by field, on a small grid that covers the
 three security cases, a flip set cut at the cap, the broken-seed
 fallback, pareto balances and classic runs with a tail_limit or a tail
 cut at the cap; grind's pruned scan against every mask counted in full,
-also on the benchmark's sss-partial registry shape;
+also on the benchmark's sss-partial registry shape and on toggles that
+repeat;
 the library grinders against the trials where the cap cuts; and a
 column registry against the Registry rebuilt from its Validator
 views."""
@@ -285,12 +286,19 @@ def _grind_matches_full_scan(grind_args):
 
 # Grinder inputs with no pinned rows: the benchmark's sss-partial shape,
 # 200 pareto validators whose selection rejects about 9 draws in 10;
-# both epochs grind 2^8 masks, one prevented and one collusion.
+# both epochs grind 2^8 masks, one prevented and one collusion.  And
+# sss-collusion's shape on 40 validators: epoch 0's 12 flip slots have 9
+# proposers (validator 17 holds three, validator 22 two), so grind
+# scores 2^9 masks and puts the winner's bits back on 12.
 GRIND_ONLY = {
     "sss-partial": SSS.replace(
         validator_count=200, balance_model="pareto:1.5", sss_threshold_n=12,
         attacker_stake_fraction=0.25, participation_rate=0.3,
         strategy_cap=8, rng_seed=1,
+    ),
+    "sss-collusion": SSS.replace(
+        sss_threshold_n=4, participation_rate=0.1, strategy_cap=12,
+        rng_seed=0, epochs=1,
     ),
 }
 
@@ -298,6 +306,7 @@ GRIND_ONLY = {
 @pytest.mark.parametrize("name", [*GRID, *GRIND_ONLY])
 def test_grind_matches_mask_payoffs(name):
     cfg = GRID.get(name) or GRIND_ONLY[name]
+    repeated = False
     for index in range(cfg.epochs):
         if cfg.protocol == "sss":
             detail = sss_trial_detail(cfg, index)
@@ -305,8 +314,58 @@ def test_grind_matches_mask_payoffs(name):
         else:
             detail = classic_trial_detail(cfg, index)
             inputs = grind_inputs(detail.state.posted, detail.decision_slots)
+        repeated |= len(set(inputs[1])) < len(inputs[1])
         _grind_matches_full_scan(
             (*inputs, index, detail.registry, detail.profile.controlled)
+        )
+    # The collusion cell keeps a repeated reveal on the grinder's path.
+    assert repeated or name != "sss-collusion"
+
+
+def _tie_registry(count):
+    """`count` full-balance validators, every other one controlled."""
+    keys = b"".join(sha256(b"rep%d" % i).digest() for i in range(count))
+    registry = Registry(keys, [MAX_EFFECTIVE_BALANCE] * count)
+    return registry, frozenset(range(0, count, 2))
+
+
+# Toggles drawn from at most three values, so most lists repeat one and
+# grind scores fewer masks than the full scan.
+@settings(max_examples=80, deadline=None)
+@given(
+    pool=st.lists(st.integers(0, 2**256 - 1), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), max_size=7),
+    base_mix=st.integers(0, 2**256 - 1),
+    epoch=st.integers(0, 2**20),
+)
+def test_grind_matches_mask_payoffs_on_repeated_toggles(
+    pool, picks, base_mix, epoch
+):
+    toggles = [pool[i % len(pool)] for i in picks]
+    registry, controlled = _tie_registry(4)
+    _grind_matches_full_scan(
+        (base_mix, toggles, epoch, registry, controlled)
+    )
+
+
+A, B, C = (int.from_bytes(sha256(b"toggle%d" % i).digest(), "big")
+           for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "toggles",
+    [[A, 0, B, 0], [A, B, A ^ B], [A, B, C, A ^ B, A], [A, A, B, C, C],
+     [A, B, C, A]],
+    ids=["zero", "dependent-triple", "dependent-and-repeat", "repeated-ends",
+         "first-repeats-last"],
+)
+def test_grind_matches_mask_payoffs_on_fixed_repeats(toggles):
+    # A dependent triple has three distinct toggles: its masks {A, B}
+    # and {A ^ B} give one mix, yet neither toggle is collapsed.
+    registry, controlled = _tie_registry(6)
+    for epoch in range(8):
+        _grind_matches_full_scan(
+            (epoch, toggles, epoch, registry, controlled)
         )
 
 
