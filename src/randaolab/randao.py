@@ -181,8 +181,31 @@ _TRY_SUFFIX = struct.Struct("<QQ").pack
 _FIRST_TRY_SUFFIX = tuple(
     _TRY_SUFFIX(slot, 0) for slot in range(SLOTS_PER_EPOCH)
 )
+# Tries per slot that need no packing: after the first, the suffixes of
+# counters 1 .. _RETRY_TABLE_TRIES - 1 come from _RETRY_SUFFIXES[slot],
+# a row built on the slot's first rejection and kept for later seeds.
+_RETRY_TABLE_TRIES = 64
+_RETRY_SUFFIXES: list[Optional[tuple[bytes, ...]]] = [None] * SLOTS_PER_EPOCH
 # A try's digest read as (big-endian candidate draw, acceptance byte).
 _DRAW = struct.Struct(">QB").unpack_from
+
+
+def _packed_retry(
+    fresh, slot: int, size: int, limits: Sequence[int], try_limit: int
+) -> int:
+    """The candidate accepted on one of the slot's tries past the retry
+    table, each with its suffix packed; SelectionError when try
+    `try_limit` is reached and rejected first."""
+    for counter in range(_RETRY_TABLE_TRIES, try_limit):
+        hasher = fresh()
+        hasher.update(_TRY_SUFFIX(slot, counter))
+        draw, byte = _DRAW(hasher.digest())
+        candidate = draw % size
+        if byte < limits[candidate]:
+            return candidate
+    raise SelectionError(
+        f"no candidate accepted for slot {slot} after {try_limit} tries"
+    )
 
 
 def _selection(
@@ -193,32 +216,49 @@ def _selection(
 
     Try `counter` of a slot hashes seed || slot || counter; the first 8
     digest bytes pick the candidate and byte 8 is its acceptance draw.
+    Each slot's first try runs inline; a registry whose limits are all
+    256 never rejects one, so it builds no retry table row and packs no
+    suffix.  A rejected slot's retries take their suffixes from its row
+    of the retry table, and _packed_retry packs those past it.  A slot
+    raises SelectionError after exactly _SELECTION_TRY_LIMIT tries, a
+    limit read at each call and kept when it is shorter than the table.
+
     The loop stops after the slot whose unmarked proposer brings the
     unmarked count to 32 - floor (at the first unmarked one when floor
     is 32 or more); floor = -1 selects every slot.
     """
     size = len(limits)
     try_limit = _SELECTION_TRY_LIMIT
+    retry_table = _RETRY_SUFFIXES
     fresh = sha256(seed).copy
     proposers: list[int] = []
     count = 0
     misses = SLOTS_PER_EPOCH - floor
     for slot, suffix in enumerate(_FIRST_TRY_SUFFIX):
-        counter = 0
-        while True:
-            hasher = fresh()
-            hasher.update(suffix)
-            draw, byte = _DRAW(hasher.digest())
-            candidate = draw % size
-            if byte < limits[candidate]:
-                break
-            counter += 1
-            if counter == try_limit:
-                raise SelectionError(
-                    f"no candidate accepted for slot {slot} after "
-                    f"{try_limit} tries"
+        hasher = fresh()
+        hasher.update(suffix)
+        draw, byte = _DRAW(hasher.digest())
+        candidate = draw % size
+        if byte >= limits[candidate]:
+            retries = retry_table[slot]
+            if retries is None:
+                retries = retry_table[slot] = tuple(
+                    _TRY_SUFFIX(slot, counter)
+                    for counter in range(1, _RETRY_TABLE_TRIES)
                 )
-            suffix = _TRY_SUFFIX(slot, counter)
+            if try_limit < _RETRY_TABLE_TRIES:
+                retries = retries[: try_limit - 1]
+            for suffix in retries:
+                hasher = fresh()
+                hasher.update(suffix)
+                draw, byte = _DRAW(hasher.digest())
+                candidate = draw % size
+                if byte < limits[candidate]:
+                    break
+            else:
+                candidate = _packed_retry(
+                    fresh, slot, size, limits, try_limit
+                )
         proposers.append(candidate)
         if marked[candidate]:
             count += 1

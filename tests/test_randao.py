@@ -23,6 +23,7 @@ from randaolab.randao import (
     mix_reveals,
     select_proposers,
 )
+from randaolab.adversary import grind
 from randaolab.harness import build_registry, trial_rng
 from randaolab.scenario import ScenarioConfig
 
@@ -301,11 +302,12 @@ def test_registry_with_keys_checks_their_length():
 
 # -- selection against the spec formula -------------------------------------
 
-def spec_select(seed, registry, try_limit=10_000):
+def spec_draws(seed, registry, try_limit=10_000):
     """Literal spec selection: try `counter` of a slot hashes
     seed || slot || counter and accepts candidate c when
     (digest[8] + 1) * MAX <= 256 * balance(c), within `try_limit`
-    tries."""
+    tries.  One (proposer, tries used) pair per slot in slot order,
+    ending at (None, try_limit) for the first slot that accepts none."""
     out = []
     for slot in range(32):
         for counter in range(try_limit):
@@ -316,11 +318,23 @@ def spec_select(seed, registry, try_limit=10_000):
             candidate = int.from_bytes(digest[:8], "big") % len(registry)
             balance = registry[candidate].effective_balance
             if (digest[8] + 1) * MAX_EFFECTIVE_BALANCE <= 256 * balance:
-                out.append(candidate)
+                out.append((candidate, counter + 1))
                 break
         else:
-            raise SelectionError(f"slot {slot} starved")
-    return tuple(out)
+            out.append((None, try_limit))
+            break
+    return out
+
+
+def spec_select(seed, registry, try_limit=10_000):
+    """The proposers of spec_draws, in slot order; SelectionError when
+    a slot accepts none."""
+    proposers = tuple(
+        candidate for candidate, _ in spec_draws(seed, registry, try_limit)
+    )
+    if None in proposers:
+        raise SelectionError(f"slot {len(proposers) - 1} starved")
+    return proposers
 
 
 def spec_count(proposers, marked, floor=-1):
@@ -358,66 +372,138 @@ def test_acceptance_limits_match_the_spec_test():
             ), (v.effective_balance, d)
 
 
-def _pareto_registry(index):
+def _pareto_registry(index, count=60):
     cfg = ScenarioConfig(
-        validator_count=60, balance_model="pareto:1.5", epochs=1
+        validator_count=count, balance_model="pareto:1.5", epochs=1
     )
     return build_registry(cfg, trial_rng(3, index))
 
 
+# A slot's tries that the selection's retry table covers; later tries
+# pack their suffix.
+TABLE_TRIES = randao._RETRY_TABLE_TRIES
+
+
 @pytest.mark.parametrize(
-    "registry",
+    "registry, past_table",
     [
-        _pareto_registry(0),
-        _pareto_registry(1),
-        registry_of([make_validator(i, balance=b)
-                     for i, b in enumerate(BOUNDARY_BALANCES)]),
+        (_pareto_registry(0), True),
+        (_pareto_registry(1), True),
+        # As many validators as the sss-partial benchmark workload.
+        (_pareto_registry(0, count=200), True),
+        (registry_of([make_validator(i, balance=b)
+                      for i, b in enumerate(BOUNDARY_BALANCES)]), False),
         # One selectable validator among many that never pass.
-        registry_of([make_validator(0, balance=8 * UNIT)]
-                    + [make_validator(i, balance=UNIT - 1)
-                       for i in range(1, 4)]),
+        (registry_of([make_validator(0, balance=8 * UNIT)]
+                     + [make_validator(i, balance=UNIT - 1)
+                        for i in range(1, 4)]), True),
     ],
-    ids=["pareto-0", "pareto-1", "boundary", "one-selectable"],
+    ids=["pareto-0", "pareto-1", "pareto-200", "boundary", "one-selectable"],
 )
-def test_select_matches_spec_oracle(registry):
+def test_select_matches_spec_oracle(registry, past_table):
     limits = registry.limits
     marked = [index % 3 == 0 for index in range(len(registry))]
+    slots_past_table = 0
     for i in range(40):
         seed = sha256(b"spec%d" % i).digest()
-        expected = spec_select(seed, registry)
+        draws = spec_draws(seed, registry)
+        expected = tuple(candidate for candidate, _ in draws)
+        slots_past_table += sum(tries > TABLE_TRIES for _, tries in draws)
         assert select_proposers(seed, registry) == expected
         assert randao._selection(seed, limits, marked, -1)[0] == spec_count(
             expected, marked
         )
+    # Every case meant to reach the packed tries past the retry table
+    # does, so that path is held to the spec too.
+    assert (slots_past_table > 0) == past_table
 
 
 # One selectable validator among four, accepted on about 1 try in 128.
-# Under this seed slot 0 needs more tries than any other slot: its
-# candidate is first accepted on try RETRY_TRIES + 1.
 RETRY_REGISTRY = registry_of([make_validator(0, balance=8 * UNIT)] + [
     make_validator(i, balance=UNIT - 1) for i in range(1, 4)
 ])
-RETRY_SEED = sha256(b"retry13").digest()
+# A budget one try short of the 358 that slot 0 of SLOT0_SEEDS[358]
+# needs, more than any other slot under that seed.
 RETRY_TRIES = 357
+# Seeds under which RETRY_REGISTRY's slot 0 first accepts a candidate on
+# try t, for each t a budget below can stop one try short of or reach:
+# both sides of the retry table's end, and 358.
+SLOT0_SEEDS = {
+    tries: sha256(b"retry%d" % label).digest()
+    for tries, label in [(1, 306), (2, 20), (3, 174), (63, 93), (64, 82),
+                         (65, 104), (66, 121), (358, 13)]
+}
+
+
+def test_slot0_seeds_need_their_tries():
+    assert TABLE_TRIES == 64
+    for tries, seed in SLOT0_SEEDS.items():
+        assert spec_draws(seed, RETRY_REGISTRY)[0][1] == tries
 
 
 def test_selection_gives_up_after_exactly_the_try_limit(monkeypatch):
-    registry, seed, k = RETRY_REGISTRY, RETRY_SEED, RETRY_TRIES
-    with pytest.raises(SelectionError, match="slot 0 "):
-        spec_select(seed, registry, try_limit=k)
-    expected = spec_select(seed, registry, try_limit=k + 1)
+    # A slot that accepts no candidate within the budget raises after
+    # exactly that many tries, whether the budget ends inside the retry
+    # table or past it; a slot that accepts on the budget's last try
+    # keeps that candidate.
+    registry = RETRY_REGISTRY
     limits = registry.limits
     marked = [True, False, True, False]
-    monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", k)
-    with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
-        select_proposers(seed, registry)
-    with pytest.raises(SelectionError, match=f"slot 0 after {k} tries"):
-        randao._selection(seed, limits, marked, -1)
-    monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", k + 1)
-    assert select_proposers(seed, registry) == expected
-    assert randao._selection(seed, limits, marked, -1)[0] == spec_count(
-        expected, marked
+    for try_limit in (1, 2, TABLE_TRIES - 1, TABLE_TRIES, TABLE_TRIES + 1,
+                      RETRY_TRIES, RETRY_TRIES + 1):
+        monkeypatch.setattr(randao, "_SELECTION_TRY_LIMIT", try_limit)
+        for seed in SLOT0_SEEDS.values():
+            draws = spec_draws(seed, registry, try_limit)
+            expected = tuple(candidate for candidate, _ in draws)
+            if None in expected:
+                message = f"slot {len(draws) - 1} after {try_limit} tries$"
+                with pytest.raises(SelectionError, match=message):
+                    select_proposers(seed, registry)
+                with pytest.raises(SelectionError, match=message):
+                    randao._selection(seed, limits, marked, -1)
+            else:
+                assert select_proposers(seed, registry) == expected
+                assert randao._selection(seed, limits, marked, -1)[0] == (
+                    spec_count(expected, marked)
+                )
+
+
+@pytest.fixture
+def packed_suffixes(monkeypatch):
+    """Every suffix the selection packs, with an empty retry table, so
+    building a table row counts too."""
+    packed = []
+    pack = randao._TRY_SUFFIX
+
+    def counted(slot, counter):
+        packed.append((slot, counter))
+        return pack(slot, counter)
+
+    monkeypatch.setattr(randao, "_TRY_SUFFIX", counted)
+    monkeypatch.setattr(
+        randao, "_RETRY_SUFFIXES", [None] * SLOTS_PER_EPOCH
     )
+    return packed
+
+
+def test_full_balance_selection_stays_on_the_first_try(packed_suffixes):
+    # Every limit is 256, so every first try is accepted: no retry
+    # table row is built and no suffix is packed, by the schedule or
+    # by the grinder.
+    registry = registry_of([make_validator(i) for i in range(50)])
+    seed = sha256(b"first").digest()
+    select_proposers(seed, registry)
+    toggles = [int.from_bytes(sha256(b"t%d" % i).digest(), "big")
+               for i in range(6)]
+    grind(5, toggles, 3, registry, frozenset(range(0, 50, 4)))
+    assert packed_suffixes == []
+    assert randao._RETRY_SUFFIXES == [None] * SLOTS_PER_EPOCH
+    # The stand-in is the one the selection reads: a rejecting registry
+    # builds table rows through it.
+    select_proposers(seed, _pareto_registry(0))
+    assert packed_suffixes
+    built = [row for row in randao._RETRY_SUFFIXES if row is not None]
+    assert built and all(len(row) == TABLE_TRIES - 1 for row in built)
 
 
 def test_all_zero_limit_registry_starves_both():
