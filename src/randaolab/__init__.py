@@ -65,7 +65,6 @@ _LAZY = {
         "RecoveryOutcome",
         "RevealPhaseState",
         "SecurityCase",
-        "ShareEnvelope",
         "apply_flip_strategy",
         "best_flip_strategy",
         "classify_security_case",
@@ -73,7 +72,6 @@ _LAZY = {
         "evaluate_flip_strategy",
         "recover_all",
         "run_reveal_phase",
-        "share_index",
     ),
 }
 _LAZY_OWNER = {

@@ -156,7 +156,7 @@ class FieldElement(_FieldElementFields):
 
     __slots__ = ()
 
-    # Built once per share, as are SharePoint and ShareEnvelope:
+    # Built once per share, as is SharePoint:
     # tuple.__new__ skips the generated __new__'s frame.
     def __new__(cls, value: int, field: PrimeField) -> "FieldElement":
         if not 0 <= value < field.modulus:

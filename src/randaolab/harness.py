@@ -270,13 +270,11 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     )
     sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
     reveals = registry.reveals(proposers, index)
-    envelopes = []
-    for slot in range(SLOTS_PER_EPOCH):
-        envelopes.extend(distribute_shares(slot, reveals[slot], sss_cfg, rng))
+    shares = [distribute_shares(r, sss_cfg, rng) for r in reveals]
     controlled = profile.controlled
     adversary_validators = frozenset(proposers) & controlled
     observed = run_reveal_phase(
-        envelopes,
+        shares,
         participating,
         adversary_participants=adversary_validators,
         proposer_by_slot=proposers,

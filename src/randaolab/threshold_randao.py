@@ -5,15 +5,14 @@ Each slot's proposer splits its reveal into 31 shares, one per other
 slot, sealed to that slot's proposer.  After the epoch, participants
 broadcast the shares they hold; any n shares recover a reveal, fewer
 leave the slot unrecoverable (it enters the mix as absent).  Encryption
-is modelled as access control: an envelope is readable only by the
-proposer of its recipient slot, read from the schedule, until the
-reveal phase.
+is modelled as access control: origin o's share at x is readable only
+by the proposer of slot `_RECIPIENTS[o][x - 1]`, read from the
+schedule, until the reveal phase.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .adversary import (
@@ -45,6 +44,23 @@ from .shamir import (
 
 SHARES_PER_SECRET = 31
 
+# _RECIPIENTS[o][x - 1]: the slot whose proposer holds origin o's share
+# at x, the 31 other slots in ascending order.
+_RECIPIENTS = tuple(
+    tuple(s for s in range(SLOTS_PER_EPOCH) if s != origin)
+    for origin in range(SLOTS_PER_EPOCH)
+)
+_ALL_X = list(range(1, SHARES_PER_SECRET + 1))
+
+
+def _holder_slots(origin: int, row: Sequence[SharePoint]) -> Sequence[int]:
+    """The slot holding each of origin's points; row ascends in x, each
+    x once, so a full row is held by _RECIPIENTS[origin] in order."""
+    recipients = _RECIPIENTS[origin]
+    if len(row) == SHARES_PER_SECRET:
+        return recipients
+    return [recipients[p.x - 1] for p in row]
+
 
 class SecurityCase(enum.Enum):
     PREVENTED = "prevented"
@@ -52,52 +68,19 @@ class SecurityCase(enum.Enum):
     COLLUSION = "collusion"
 
 
-def share_index(origin_slot: int, recipient_slot: int) -> int:
-    """Order-preserving bijection of the 31 non-origin slots onto 1..31."""
-    if not 0 <= origin_slot < SLOTS_PER_EPOCH:
-        raise ValueError("origin slot out of range")
-    if not 0 <= recipient_slot < SLOTS_PER_EPOCH:
-        raise ValueError("recipient slot out of range")
-    if recipient_slot == origin_slot:
-        raise ValueError("origin does not receive its own share")
-    if recipient_slot < origin_slot:
-        return recipient_slot + 1
-    return recipient_slot
-
-
-class _ShareEnvelopeFields(NamedTuple):
-    origin_slot: int
-    recipient_slot: int
-    point: SharePoint
-
-
-class ShareEnvelope(_ShareEnvelopeFields):
-    """One share of origin_slot's reveal, sealed to the proposer of
-    recipient_slot."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, origin_slot: int, recipient_slot: int, point: SharePoint
-    ) -> "ShareEnvelope":
-        if point.x != share_index(origin_slot, recipient_slot):
-            raise ValueError("share index does not match recipient slot")
-        return tuple.__new__(cls, (origin_slot, recipient_slot, point))
-
-
 class RevealPhaseState(NamedTuple):
     """Everything observable once the reveal phase closes, per origin.
 
-    shares[o] holds origin o's envelopes in ascending share index
-    (empty if o never distributed) and broadcast[o] the points of those
-    broadcast; participants are the validator indices present in the
-    reveal phase (honest participants plus the adversary's); t counts
-    slots whose proposer both distributed and participates.
+    shares[o] holds origin o's points in ascending x (empty if o never
+    distributed) and broadcast[o] those broadcast; participants are the
+    validator indices present in the reveal phase (honest participants
+    plus the adversary's); t counts slots whose proposer both
+    distributed and participates.
     """
 
     epoch: int
     proposer_by_slot: tuple[int, ...]
-    shares: tuple[tuple[ShareEnvelope, ...], ...]
+    shares: tuple[tuple[SharePoint, ...], ...]
     participants: frozenset[int]
     broadcast: tuple[tuple[SharePoint, ...], ...]
     t: int
@@ -114,34 +97,28 @@ class RecoveryOutcome(NamedTuple):
 
 
 def distribute_shares(
-    slot: int,
     reveal: bytes,
     config: SssConfig,
     entropy: Entropy = SYSTEM_ENTROPY,
-) -> list[ShareEnvelope]:
-    """Split one slot's reveal into 31 envelopes, one per other slot.
+) -> list[SharePoint]:
+    """Split one slot's reveal into 31 shares at x = 1..31, one per
+    other slot (see _RECIPIENTS).
 
-    A validator proposing several other slots holds one envelope per
-    slot, each with a distinct share index.
+    A validator proposing several other slots holds one share per slot,
+    each at a distinct x.
     """
     if config.share_count_m != SHARES_PER_SECRET:
         raise ValueError(
             f"distribution needs m = {SHARES_PER_SECRET}, got "
             f"{config.share_count_m}"
         )
-    # share_index maps the recipients, in ascending order, onto the
-    # x = 1..31 that split shares at.
-    recipients = [s for s in range(SLOTS_PER_EPOCH) if s != slot]
-    return [
-        ShareEnvelope(slot, r, p)
-        for r, p in zip(recipients, split(reveal, config, entropy))
-    ]
+    return split(reveal, config, entropy)
 
 
 def run_reveal_phase(
-    envelopes: Iterable[ShareEnvelope],
+    shares: Sequence[Iterable[SharePoint]],
     honest_participants: Iterable[int],
-    released: Iterable[ShareEnvelope] = (),
+    released: Iterable[tuple[int, SharePoint]] = (),
     *,
     adversary_participants: Iterable[int] = (),
     proposer_by_slot: Sequence[int],
@@ -149,19 +126,22 @@ def run_reveal_phase(
 ) -> RevealPhaseState:
     """Simultaneous honest broadcast plus the adversary's release.
 
-    An envelope is held by the proposer of its recipient slot in
+    shares[o] lists origin o's distributed points; the point at x is
+    held by the proposer of slot _RECIPIENTS[o][x - 1] in
     `proposer_by_slot`, one validator per slot.  Honest participants
     broadcast every share they hold; the adversary broadcasts the held
-    envelopes in `released`, chosen after observing the honest
-    broadcast (rushing model; apply_flip_strategy plans it).  Adversary
-    participants count as present even when they release nothing, since
-    they did distribute and show up.  An envelope listed twice is read
-    once; two different envelopes at one (origin, share index) are
+    (origin, point) pairs in `released`, chosen after observing the
+    honest broadcast (rushing model; apply_flip_strategy plans it).
+    Adversary participants count as present even when they release
+    nothing, since they did distribute and show up.  A share listed
+    twice is read once; two different points at one (origin, x) are
     rejected.
     """
     proposer_by_slot = tuple(proposer_by_slot)
     if len(proposer_by_slot) != SLOTS_PER_EPOCH:
         raise ValueError("need one proposer per slot")
+    if len(shares) != SLOTS_PER_EPOCH:
+        raise ValueError("need one row of shares per slot")
     honest = frozenset(honest_participants)
     adversarial = frozenset(adversary_participants)
     if honest & adversarial:
@@ -171,48 +151,51 @@ def run_reveal_phase(
     honest_slot = [v in honest for v in proposer_by_slot]
     adversarial_slot = [v in adversarial for v in proposer_by_slot]
 
-    # grid[o][r]: origin o's envelope for recipient slot r.  share_index
-    # maps r onto x in order and one to one, so r keys and orders a row
-    # as x would, and it is one field read where x is two.
-    grid: list[list[Optional[ShareEnvelope]]] = [
-        [None] * SLOTS_PER_EPOCH for _ in range(SLOTS_PER_EPOCH)
-    ]
-    for e in envelopes:
-        row = grid[e.origin_slot]
-        r = e.recipient_slot
-        if row[r] is None:
-            row[r] = e
-        elif row[r] != e:
-            raise ValueError("two different envelopes at one share index")
+    # rows[o]: origin o's points in ascending x, each x once.  A row as
+    # distribute_shares returns it (x = 1..31 in order) already is one;
+    # any other row is regrouped by x.
+    rows = []
+    for points in shares:
+        row = tuple(points)
+        if [p.x for p in row] != _ALL_X:
+            by_x: dict[int, SharePoint] = {}
+            for p in row:
+                if not 1 <= p.x <= SHARES_PER_SECRET:
+                    raise ValueError(
+                        f"share x must be in 1..{SHARES_PER_SECRET}"
+                    )
+                if by_x.setdefault(p.x, p) != p:
+                    raise ValueError("two different shares at one (origin, x)")
+            row = tuple(by_x[x] for x in sorted(by_x))
+        rows.append(row)
+    # (origin, holder slot) of each share the adversary releases.
     revealed: set[tuple[int, int]] = set()
-    for e in released:
-        origin, r, _ = e
-        if grid[origin][r] != e:
+    for origin, p in released:
+        if not (0 <= origin < SLOTS_PER_EPOCH and p in rows[origin]):
             raise ValueError("adversary released a share never distributed")
-        if not adversarial_slot[r]:
+        slot = _RECIPIENTS[origin][p.x - 1]
+        if not adversarial_slot[slot]:
             raise ValueError("adversary released a share it does not hold")
-        revealed.add((origin, r))
+        revealed.add((origin, slot))
 
-    shares = tuple(tuple(e for e in row if e is not None) for row in grid)
     participants = honest | adversarial
     return RevealPhaseState(
         epoch=epoch,
         proposer_by_slot=proposer_by_slot,
-        shares=shares,
+        shares=tuple(rows),
         participants=participants,
         broadcast=tuple(
             tuple(
-                e.point
-                for e in row
-                if honest_slot[e.recipient_slot]
-                or (origin, e.recipient_slot) in revealed
+                p
+                for p, r in zip(row, _holder_slots(origin, row))
+                if honest_slot[r] or (origin, r) in revealed
             )
-            for origin, row in enumerate(shares)
+            for origin, row in enumerate(rows)
         ),
         t=sum(
             1
-            for slot, row in enumerate(shares)
-            if row and proposer_by_slot[slot] in participants
+            for v, row in zip(proposer_by_slot, rows)
+            if row and v in participants
         ),
     )
 
@@ -264,22 +247,29 @@ def _origin_table(
     state: RevealPhaseState,
     attacker: AttackerProfile,
     config: SssConfig,
-) -> tuple[list[tuple[ShareEnvelope, ...]], list[int]]:
-    """Adversary-held envelopes per origin, in ascending x, and the
-    ascending flip set of the honest-only view `state`."""
+) -> tuple[list[list[SharePoint]], list[int], list[int]]:
+    """Per origin, the points the adversary's participants hold, in
+    ascending x, and the count of honest shares, and the ascending flip
+    set, all read from the honest-only view of `state`: any release it
+    holds is ignored."""
     controlled = attacker.controlled
-    mine = [v in controlled for v in state.proposer_by_slot]
-    held = [
-        tuple(e for e in row if mine[e.recipient_slot])
-        for row in state.shares
-    ]
+    honest = state.participants - controlled
+    present = state.participants & controlled
+    mine = [v in present for v in state.proposer_by_slot]
+    heard = [v in honest for v in state.proposer_by_slot]
+    held: list[list[SharePoint]] = []
+    honest_count: list[int] = []
+    for origin, row in enumerate(state.shares):
+        slots = _holder_slots(origin, row)
+        held.append([p for p, r in zip(row, slots) if mine[r]])
+        honest_count.append(sum(map(heard.__getitem__, slots)))
     n = config.threshold_n
     flip = [
         origin
-        for origin, (points, mine) in enumerate(zip(state.broadcast, held))
-        if len(points) < n <= len(points) + len(mine)
+        for origin, (count, points) in enumerate(zip(honest_count, held))
+        if count < n <= count + len(points)
     ]
-    return held, flip
+    return held, honest_count, flip
 
 
 def apply_flip_strategy(
@@ -299,26 +289,23 @@ def apply_flip_strategy(
     list — is topped up to n with the adversary's lowest-x held shares.
     Mask 0 therefore reproduces honest behavior exactly.
     """
-    phase = partial(
-        run_reveal_phase,
-        [e for row in state.shares for e in row],
-        state.participants - attacker.controlled,
-        adversary_participants=state.participants & attacker.controlled,
-        proposer_by_slot=state.proposer_by_slot,
-        epoch=state.epoch,
-    )
-    observed = phase()
-    held, flip = _origin_table(observed, attacker, config)
+    held, honest_count, flip = _origin_table(state, attacker, config)
     if flip_slots is None:
         flip_slots = flip
     withheld = set(strategy.withheld(flip_slots))
-    return phase(
-        e
-        for origin in flip
-        if origin not in withheld
-        for e in held[origin][
-            : config.threshold_n - len(observed.broadcast[origin])
-        ]
+    n = config.threshold_n
+    return run_reveal_phase(
+        state.shares,
+        state.participants - attacker.controlled,
+        [
+            (origin, p)
+            for origin in flip
+            if origin not in withheld
+            for p in held[origin][: n - honest_count[origin]]
+        ],
+        adversary_participants=state.participants & attacker.controlled,
+        proposer_by_slot=state.proposer_by_slot,
+        epoch=state.epoch,
     )
 
 
@@ -349,18 +336,17 @@ def mask0_recovery(
     """The origins that recover when the adversary plays mask 0, and
     the ascending flip set, from share counts alone.
 
-    An origin recovers from >= n honest shares, or as a flip slot the
-    adversary tops up to n (see apply_flip_strategy); every other origin
-    stays absent.  Nothing is interpolated, so every origin is taken to
-    have split its reveal honestly; recover_all is the oracle that
-    decodes.
+    Shares are counted on the honest-only view of `state`, as
+    apply_flip_strategy plans.  An origin recovers from >= n honest
+    shares, or as a flip slot the adversary tops up to n; every other
+    origin stays absent.  Nothing is interpolated, so every origin is
+    taken to have split its reveal honestly; recover_all is the oracle
+    that decodes.
     """
-    _, flip = _origin_table(state, attacker, config)
+    _, honest_count, flip = _origin_table(state, attacker, config)
     n = config.threshold_n
     recovered = frozenset(flip).union(
-        origin
-        for origin, points in enumerate(state.broadcast)
-        if len(points) >= n
+        origin for origin, count in enumerate(honest_count) if count >= n
     )
     return recovered, flip
 
@@ -382,7 +368,7 @@ def best_flip_strategy(
     under mask 0.  Mask bit i suppresses flip slot i.  The reveals a
     mask toggles are those recover_all decodes under mask 0.
     """
-    _, flip = _origin_table(state, attacker, config)
+    flip = _origin_table(state, attacker, config)[2]
     flip_slots = flip[: strategy_budget(cap, max_flips)]
     mask0 = apply_flip_strategy(
         state, attacker, config, Strategy(0, len(flip_slots)), flip_slots

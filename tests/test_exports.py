@@ -30,7 +30,8 @@ MODULES = (
 # runners beside run_scenario, the grinders' old over-budget error, a
 # list copy of Registry.limits, the trial's own Lagrange recovery, and
 # library-only twins of the selection count, a registry reveal, the
-# flip set and the grinders' mask enumeration.
+# flip set and the grinders' mask enumeration, and the share envelope
+# with its slot-to-x map (a share's holder follows from origin and x).
 REMOVED = (
     "AdversaryDecision",
     "ELEMENT_BYTES",
@@ -41,6 +42,7 @@ REMOVED = (
     "SECONDS_PER_SLOT",
     "SHARE_WIRE_BYTES",
     "Secret",
+    "ShareEnvelope",
     "StrategyCapExceeded",
     "ZERO_MIX",
     "acceptance_limits",
@@ -62,6 +64,7 @@ REMOVED = (
     "reveal",
     "run_classic",
     "run_sss",
+    "share_index",
     "xor32",
 )
 
@@ -187,14 +190,10 @@ def test_sharing_takes_the_production_field_only():
 
 
 def test_share_holder_is_read_from_the_schedule_only():
-    # An envelope's holder is the proposer of its recipient slot, so
-    # neither the envelope nor its distribution names a validator.
-    assert "proposers" not in inspect.signature(
-        randaolab.distribute_shares
-    ).parameters
-    assert randaolab.ShareEnvelope._fields == (
-        "origin_slot", "recipient_slot", "point"
-    )
+    # A share's holder follows from its origin, its x and the schedule,
+    # so distribution names neither a validator nor its own slot.
+    parameters = inspect.signature(randaolab.distribute_shares).parameters
+    assert "proposers" not in parameters and "slot" not in parameters
 
 
 def test_split_element_takes_no_x_coords():

@@ -1,4 +1,4 @@
-"""The fourteen records, seven of the classic path and seven of the
+"""The thirteen records, seven of the classic path and six of the
 share layer, are validated, immutable named tuples with pinned field
 names, order and repr.  Their checks run in the constructor, also when
 the worker pool unpickles them and when `ScenarioConfig.replace` copies
@@ -15,18 +15,12 @@ from randaolab.harness import MetricsReport
 from randaolab.randao import SLOTS_PER_EPOCH, EpochState, Validator
 from randaolab.scenario import ConfigError, ScenarioConfig
 from randaolab.shamir import SssConfig
-from randaolab.threshold_randao import (
-    RecoveryOutcome,
-    RevealPhaseState,
-    ShareEnvelope,
-)
+from randaolab.threshold_randao import RecoveryOutcome, RevealPhaseState
 
 PROPOSERS = tuple(range(SLOTS_PER_EPOCH))
 METRICS = (9.5, 9.6, -0.1, 0.25, 0.0, 0, 0, 0, "0:4", 0.0, 32.0, 9.5, 0.3)
 F17 = PrimeField(17)
 POINT = SharePoint(1, FieldElement(3, F17))
-# Origin slot 0's share for recipient slot 1 sits at share index 1.
-ENVELOPE = ShareEnvelope(0, 1, POINT)
 
 # (record, its field names in order, bad fields, the error they raise;
 # None where the record has no checks)
@@ -62,9 +56,7 @@ RECORDS = [
     (POINT, ("x", "y"), dict(x=0), ValueError),
     (SssConfig(2, 5), ("threshold_n", "share_count_m"),
      dict(threshold_n=0), ValueError),
-    (ENVELOPE, ("origin_slot", "recipient_slot", "point"),
-     dict(point=SharePoint(2, POINT.y)), ValueError),
-    (RevealPhaseState(4, PROPOSERS, ((ENVELOPE,),) + ((),) * 31,
+    (RevealPhaseState(4, PROPOSERS, ((POINT,),) + ((),) * 31,
                       frozenset({7}), ((POINT,),) + ((),) * 31, 1),
      ("epoch", "proposer_by_slot", "shares", "participants", "broadcast",
       "t"), None, None),

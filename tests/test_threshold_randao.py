@@ -12,7 +12,6 @@ from randaolab.adversary import AttackerProfile, Strategy
 from randaolab.field import FIELD_256, SharePoint
 from randaolab.randao import (
     MAX_EFFECTIVE_BALANCE,
-    SLOTS_PER_EPOCH,
     EpochState,
     Registry,
     compute_reveal,
@@ -23,7 +22,6 @@ from randaolab.randao import (
 from randaolab.shamir import SssConfig, recover, split_element
 from randaolab.threshold_randao import (
     SecurityCase,
-    ShareEnvelope,
     apply_flip_strategy,
     best_flip_strategy,
     classify_security_case,
@@ -32,7 +30,6 @@ from randaolab.threshold_randao import (
     mask0_recovery,
     recover_all,
     run_reveal_phase,
-    share_index,
 )
 
 
@@ -48,17 +45,20 @@ IDENTITY = tuple(range(32))  # slot s proposed by validator s
 REVEALS = [compute_reveal(REGISTRY32[s], 0) for s in range(32)]
 
 
-def full_envelopes(cfg, rng=None, reveals=None):
+def full_shares(cfg, rng=None, reveals=None):
     rng = rng or random.Random(0)
     reveals = reveals or REVEALS
-    envelopes = []
-    for slot in range(SLOTS_PER_EPOCH):
-        envelopes.extend(distribute_shares(slot, reveals[slot], cfg, rng))
-    return envelopes
+    return [distribute_shares(r, cfg, rng) for r in reveals]
+
+
+def holder_slot(origin, x):
+    # The seal rule: origin o's shares go to the other 31 slots in
+    # ascending order at x = 1..31.
+    return x - 1 if x <= origin else x
 
 
 def phase(
-    envelopes,
+    shares,
     honest,
     released=(),
     adversary=(),
@@ -66,7 +66,7 @@ def phase(
     epoch=0,
 ):
     return run_reveal_phase(
-        envelopes,
+        shares,
         honest,
         released,
         adversary_participants=adversary,
@@ -75,52 +75,31 @@ def phase(
     )
 
 
-# -- share index map -------------------------------------------------------
-
-def test_share_index_is_bijection_per_origin():
-    for origin in range(32):
-        images = [
-            share_index(origin, r) for r in range(32) if r != origin
-        ]
-        assert sorted(images) == list(range(1, 32))
-
-
-def test_share_index_validation():
-    with pytest.raises(ValueError):
-        share_index(3, 3)
-    with pytest.raises(ValueError):
-        share_index(32, 1)
-    with pytest.raises(ValueError):
-        share_index(1, 32)
-
-
 # -- distribution -----------------------------------------------------------
 
 def test_distribute_fans_out_to_all_other_slots():
     cfg = SssConfig(16, 31)
-    envs = distribute_shares(5, REVEALS[5], cfg, random.Random(1))
-    assert len(envs) == 31
-    assert sorted(e.recipient_slot for e in envs) == [
+    points = distribute_shares(REVEALS[5], cfg, random.Random(1))
+    assert [p.x for p in points] == list(range(1, 32))
+    assert sorted(holder_slot(5, p.x) for p in points) == [
         s for s in range(32) if s != 5
     ]
-    assert all(e.origin_slot == 5 for e in envs)
-    assert sorted(e.point.x for e in envs) == list(range(1, 32))
 
 
 def test_distribute_requires_m_31_and_full_schedule():
     with pytest.raises(ValueError):
-        distribute_shares(0, REVEALS[0], SssConfig(4, 30), random.Random(1))
+        distribute_shares(REVEALS[0], SssConfig(4, 30), random.Random(1))
     # The schedule, which names each share's holder, is checked where
     # the shares are read: a 31-slot schedule leaves one slot unheld.
-    envs = full_envelopes(SssConfig(4, 31))
+    shares = full_shares(SssConfig(4, 31))
     with pytest.raises(ValueError, match="one proposer per slot"):
-        phase(envs, set(range(32)), proposers=IDENTITY[:31])
+        phase(shares, set(range(32)), proposers=IDENTITY[:31])
 
 
 def test_distributed_shares_recover_reveal():
     cfg = SssConfig(7, 31)
-    envs = distribute_shares(9, REVEALS[9], cfg, random.Random(2))
-    subset = random.Random(3).sample([e.point for e in envs], 7)
+    points = distribute_shares(REVEALS[9], cfg, random.Random(2))
+    subset = random.Random(3).sample(points, 7)
     assert recover(subset, cfg) == REVEALS[9]
 
 
@@ -129,36 +108,27 @@ def test_duplicate_proposer_receives_distinct_indices():
     # 16 per slot, each at its own x, and broadcasts all 16.
     proposers = tuple([7] * 16 + [9] * 16)
     cfg = SssConfig(4, 31)
-    state = phase(full_envelopes(cfg), {7}, proposers=proposers)
-    held = [e.point.x for e in state.shares[16] if e.recipient_slot < 16]
-    assert held == list(range(1, 17))
-    assert [p.x for p in state.broadcast[16]] == held
+    state = phase(full_shares(cfg), {7}, proposers=proposers)
+    assert [p.x for p in state.broadcast[16]] == list(range(1, 17))
     # Origin 0 sends to slots 1..15 only: 15 shares at distinct x.
     assert [p.x for p in state.broadcast[0]] == list(range(1, 16))
-
-
-def test_envelope_x_consistency_enforced():
-    cfg = SssConfig(2, 31)
-    point = SharePoint(7, FIELD_256.element(5))
-    with pytest.raises(ValueError):
-        ShareEnvelope(origin_slot=1, recipient_slot=2, point=point)
 
 
 # -- reveal phase -----------------------------------------------------------
 
 def test_full_honest_participation_floods_every_origin():
     cfg = SssConfig(16, 31)
-    state = phase(full_envelopes(cfg), set(range(32)))
+    state = phase(full_shares(cfg), set(range(32)))
     assert state.t == 32
     assert [len(points) for points in state.broadcast] == [31] * 32
     for origin, row in enumerate(state.shares):
-        assert [e.point.x for e in row] == list(range(1, 32))
-        assert state.broadcast[origin] == tuple(e.point for e in row)
+        assert [p.x for p in row] == list(range(1, 32))
+        assert state.broadcast[origin] == row
 
 
 def test_empty_participation_yields_nothing():
     cfg = SssConfig(16, 31)
-    state = phase(full_envelopes(cfg), set())
+    state = phase(full_shares(cfg), set())
     assert state.t == 0
     assert state.broadcast == ((),) * 32
     outcome = recover_all(state, cfg)
@@ -167,38 +137,86 @@ def test_empty_participation_yields_nothing():
     assert outcome.broken
 
 
+def test_share_index_is_bijection_per_origin():
+    # With one honest participant, the proposer of slot r, each other
+    # origin broadcasts exactly the share sealed to r: x = r + 1 below
+    # the origin, x = r above it, so each origin's x = 1..31 go one to
+    # one to the other 31 slots.
+    shares = full_shares(SssConfig(4, 31))
+    for r in range(32):
+        state = phase(shares, {r})
+        for origin, row in enumerate(shares):
+            if origin == r:
+                assert state.broadcast[origin] == ()
+                continue
+            x = r + 1 if r < origin else r
+            assert state.broadcast[origin] == (row[x - 1],)
+            assert row[x - 1].x == x
+
+
+def test_share_index_validation():
+    cfg = SssConfig(4, 31)
+    shares = full_shares(cfg)
+    y = shares[0][0].y
+    for x in (32, 40):
+        bad = list(shares)
+        bad[3] = shares[3] + [SharePoint(x, y)]
+        with pytest.raises(ValueError, match="1..31"):
+            phase(bad, set(range(32)))
+    # A point built without its checks, at x = 0, is rejected too.
+    bad = list(shares)
+    bad[3] = [shares[3][0]._replace(x=0)]
+    with pytest.raises(ValueError, match="1..31"):
+        phase(bad, set(range(32)))
+    with pytest.raises(ValueError, match="one row of shares per slot"):
+        phase(shares[:31], set(range(32)))
+
+
 def test_reveal_phase_rejects_overlapping_sets_and_foreign_shares():
     cfg = SssConfig(4, 31)
-    envs = full_envelopes(cfg)
+    shares = full_shares(cfg)
     with pytest.raises(ValueError):
-        phase(envs, {1, 2}, adversary={2, 3})
+        phase(shares, {1, 2}, adversary={2, 3})
     foreign = distribute_shares(
-        0, sha256(b"other").digest(), cfg, random.Random(9)
+        sha256(b"other").digest(), cfg, random.Random(9)
     )
     with pytest.raises(ValueError, match="never distributed"):
-        phase(envs, {1}, [foreign[0]], adversary={3})
-    # Releasing a share sealed to someone else is also rejected.
-    not_mine = [e for e in envs if IDENTITY[e.recipient_slot] == 5][0]
+        phase(shares, {1}, [(0, foreign[0])], adversary={3})
+    # A distributed point released under another origin, or under an
+    # origin outside the epoch, was never distributed there.
+    for origin in (1, 32, -1):
+        with pytest.raises(ValueError, match="never distributed"):
+            phase(shares, {1}, [(origin, shares[0][2])], adversary={3})
+    # Releasing a share sealed to someone else is also rejected: origin
+    # 0's share at x = 5 is sealed to slot 5.
     with pytest.raises(ValueError, match="does not hold"):
-        phase(envs, {1}, [not_mine], adversary={3})
+        phase(shares, {1}, [(0, shares[0][4])], adversary={3})
 
 
-def test_reveal_phase_rejects_two_envelopes_at_one_share_index():
-    # A second split of origin 0 puts a different envelope at each of
-    # its share indices; recovery could not pick between them.
+def test_reveal_phase_rejects_two_shares_at_one_origin_and_x():
+    # A second split of origin 0 puts a different point at each of its
+    # x; recovery could not pick between them.
     cfg = SssConfig(4, 31)
-    second = distribute_shares(0, REVEALS[0], cfg, random.Random(99))
-    with pytest.raises(ValueError, match="share index"):
-        phase(full_envelopes(cfg) + second, set(range(32)))
+    shares = full_shares(cfg)
+    shares[0] = shares[0] + distribute_shares(
+        REVEALS[0], cfg, random.Random(99)
+    )
+    with pytest.raises(ValueError, match=r"one \(origin, x\)"):
+        phase(shares, set(range(32)))
 
 
-def test_reveal_phase_reads_shuffled_and_repeated_envelopes_alike():
+def test_reveal_phase_reads_shuffled_and_repeated_shares_alike():
     cfg = SssConfig(4, 31)
-    envs = full_envelopes(cfg)
-    mine = [e for e in envs if IDENTITY[e.recipient_slot] == 31][:2]
-    state = phase(envs, set(range(8)), mine, adversary={31})
-    shuffled = envs + envs[:40]
-    random.Random(5).shuffle(shuffled)
+    shares = full_shares(cfg)
+    # Origins 0 and 1 seal x = 31 to slot 31.
+    mine = [(0, shares[0][30]), (1, shares[1][30])]
+    state = phase(shares, set(range(8)), mine, adversary={31})
+    rng = random.Random(5)
+    shuffled = []
+    for row in shares:
+        row = row + row[:rng.randrange(32)]
+        rng.shuffle(row)
+        shuffled.append(row)
     assert phase(shuffled, set(range(8)), mine + mine, adversary={31}) == (
         state
     )
@@ -211,7 +229,7 @@ def test_release_is_planned_on_the_honest_only_view():
     # adversary's release plans the same release: the plan reads only
     # the honest broadcasts, as a rushing adversary observes them.
     cfg = SssConfig(4, 31)
-    state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
+    state = phase(full_shares(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
     flips = mask0_recovery(state, profile, cfg)[1]
     for mask in (0, 0b101):
@@ -221,6 +239,14 @@ def test_release_is_planned_on_the_honest_only_view():
         assert apply_flip_strategy(
             once, profile, cfg, strategy, flips
         ) == once
+        # The planners ignore the release too (a cap of 8 keeps the
+        # grind small).
+        assert mask0_recovery(once, profile, cfg) == mask0_recovery(
+            state, profile, cfg
+        )
+        assert best_flip_strategy(
+            once, profile, cfg, REGISTRY32, cap=8
+        ) == best_flip_strategy(state, profile, cfg, REGISTRY32, cap=8)
     topped_up = apply_flip_strategy(
         state, profile, cfg, Strategy(0, len(flips))
     )
@@ -233,15 +259,13 @@ def test_release_is_planned_on_the_honest_only_view():
 def test_t_counts_distributed_and_participating_slots():
     cfg = SssConfig(4, 31)
     # Slot 3 never distributes; its proposer participates anyway.
-    envs = [
-        e
-        for slot in range(32)
-        if slot != 3
-        for e in distribute_shares(
-            slot, REVEALS[slot], cfg, random.Random(slot)
+    shares = [
+        [] if slot == 3 else distribute_shares(
+            REVEALS[slot], cfg, random.Random(slot)
         )
+        for slot in range(32)
     ]
-    state = phase(envs, {1, 2, 3, 4}, adversary={9})
+    state = phase(shares, {1, 2, 3, 4}, adversary={9})
     # Participating slots: 1, 2, 3, 4, 9; slot 3 did not distribute.
     assert state.t == 4
 
@@ -250,8 +274,8 @@ def test_duplicate_proposer_t_counts_slots():
     proposers = tuple([7] * 30 + [8, 9])
     cfg = SssConfig(4, 31)
     reveals = [compute_reveal(REGISTRY32[p], 0) for p in proposers]
-    envs = full_envelopes(cfg, reveals=reveals)
-    state = phase(envs, {7, 9}, proposers=proposers)
+    shares = full_shares(cfg, reveals=reveals)
+    state = phase(shares, {7, 9}, proposers=proposers)
     assert state.t == 31  # validator 7's 30 slots + validator 9's slot
 
 
@@ -259,7 +283,7 @@ def test_duplicate_proposer_t_counts_slots():
 
 def test_recover_all_equals_classic_mix_under_full_honesty():
     cfg = SssConfig(16, 31)
-    state = phase(full_envelopes(cfg), set(range(32)))
+    state = phase(full_shares(cfg), set(range(32)))
     outcome = recover_all(state, cfg)
     assert outcome.per_slot == tuple(REVEALS)
     classic = EpochState(0, IDENTITY)
@@ -273,11 +297,10 @@ def test_recover_all_equals_classic_mix_under_full_honesty():
 def test_slot_below_threshold_is_absent_from_mix():
     n = 16
     cfg = SssConfig(n, 31)
-    envs = full_envelopes(cfg)
+    shares = full_shares(cfg)
     # Drop enough of origin 4's shares that only n-1 remain broadcast.
-    doomed = [e for e in envs if e.origin_slot == 4][: 31 - (n - 1)]
-    pruned = [e for e in envs if e not in doomed]
-    state = phase(pruned, set(range(32)))
+    shares[4] = shares[4][31 - (n - 1):]
+    state = phase(shares, set(range(32)))
     outcome = recover_all(state, cfg)
     assert outcome.per_slot[4] is None
     assert all(
@@ -288,15 +311,13 @@ def test_slot_below_threshold_is_absent_from_mix():
 
 
 def corrupt_origin_state(cfg):
-    envs = [e for e in full_envelopes(cfg) if e.origin_slot != 0]
+    shares = full_shares(cfg)
     # Origin 0 "commits" a value outside the 32-byte image; its shares
     # are mutually consistent yet cannot decode to a reveal.
-    recipients = [s for s in range(32) if s != 0]
-    points = split_element(
+    shares[0] = split_element(
         FIELD_256.element(2**256 + 5), SssConfig(2, 31), random.Random(8)
     )
-    envs += [ShareEnvelope(0, r, p) for r, p in zip(recipients, points)]
-    return phase(envs, set(range(32)))
+    return phase(shares, set(range(32)))
 
 
 def test_corrupt_origin_downgraded_to_unrecoverable():
@@ -326,8 +347,9 @@ def test_best_flip_strategy_scores_a_corrupt_origin_as_absent():
 
 def test_missing_distribution_marks_slot_unrecoverable():
     cfg = SssConfig(2, 31)
-    envs = [e for e in full_envelopes(cfg) if e.origin_slot != 11]
-    state = phase(envs, set(range(32)))
+    shares = full_shares(cfg)
+    shares[11] = []
+    state = phase(shares, set(range(32)))
     outcome = recover_all(state, cfg)
     assert outcome.per_slot[11] is None
     assert state.t == 31  # t only counts slots that distributed
@@ -376,7 +398,7 @@ def test_flip_set_empty_under_full_participation():
     cfg = SssConfig(16, 31)
     controlled = {30, 31}
     honest = set(range(32)) - controlled
-    state = phase(full_envelopes(cfg), honest, adversary=controlled)
+    state = phase(full_shares(cfg), honest, adversary=controlled)
     profile = attacker_profile(controlled)
     assert set(mask0_recovery(state, profile, cfg)[1]) == set()
 
@@ -385,10 +407,10 @@ def test_flip_set_counting_edge():
     # Exactly n-1 honest shares per origin, adversary holds one more.
     n = 4
     cfg = SssConfig(n, 31)
-    envs = full_envelopes(cfg)
+    shares = full_shares(cfg)
     honest = {0, 1, 2}  # origins inside get n-2 honest shares, others n-1
     controlled = {31}
-    state = phase(envs, honest, adversary=controlled)
+    state = phase(shares, honest, adversary=controlled)
     flips = set(mask0_recovery(state, attacker_profile(controlled), cfg)[1])
     # Origins 0..2 have 2 honest shares + 1 adversary share < n: stuck.
     # Origins 3..30 have 3 honest + 1 adversary = n: flippable.
@@ -396,10 +418,23 @@ def test_flip_set_counting_edge():
     assert flips == set(range(3, 31))
 
 
+def test_an_absent_adversary_holds_nothing_to_release():
+    # Validator 31 is the attacker's but not in the reveal phase: its
+    # shares cannot be released, so nothing is flippable and mask 0
+    # leaves the transcript as it is.
+    cfg = SssConfig(4, 31)
+    state = phase(full_shares(cfg), {0, 1, 2})
+    profile = attacker_profile({31})
+    assert mask0_recovery(state, profile, cfg) == (frozenset(), [])
+    assert apply_flip_strategy(state, profile, cfg, Strategy(0, 0)) == state
+    outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
+    assert outcome.chosen == Strategy(0, 0)
+
+
 def test_flip_decision_slots_order_and_budget():
     n = 4
     cfg = SssConfig(n, 31)
-    state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
+    state = phase(full_shares(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
     # Origins 3..30 recover only as topped-up flip slots; 0..2 and 31
     # fall short of n even with the adversary's shares.
@@ -416,7 +451,7 @@ def test_best_flip_empty_set_is_exactly_honest():
     cfg = SssConfig(16, 31)
     controlled = {30, 31}
     honest = set(range(32)) - controlled
-    state = phase(full_envelopes(cfg), honest, adversary=controlled)
+    state = phase(full_shares(cfg), honest, adversary=controlled)
     outcome = best_flip_strategy(
         state, attacker_profile(controlled), cfg, REGISTRY32
     )
@@ -430,11 +465,11 @@ def test_best_flip_matches_bruteforce_oracle():
     # replays every subset through the full reveal + recovery path.
     n = 4
     cfg = SssConfig(n, 31)
-    envs = full_envelopes(cfg)
+    shares = full_shares(cfg)
     controlled = {29, 30, 31}
     profile = attacker_profile(controlled)
     honest = {3, 4, 5, 6}
-    state = phase(envs, honest, adversary=controlled)
+    state = phase(shares, honest, adversary=controlled)
     flips = mask0_recovery(state, profile, cfg)[1]
     assert flips == [3, 4, 5, 6]
     width = len(flips)
@@ -455,7 +490,7 @@ def test_best_flip_matches_bruteforce_oracle():
 def test_best_flip_cap_and_budget():
     n = 4
     cfg = SssConfig(n, 31)
-    state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
+    state = phase(full_shares(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
     # The flip set is cut to its lowest min(cap, max_flips) slots, as
     # the harness cuts it, instead of failing.
@@ -479,7 +514,7 @@ def test_budget_truncation_releases_out_of_budget_origins():
     # full honest release, so every flippable origin still recovers.
     n = 4
     cfg = SssConfig(n, 31)
-    state = phase(full_envelopes(cfg), {0, 1, 2}, adversary={31})
+    state = phase(full_shares(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
     outcome = best_flip_strategy(
         state, profile, cfg, REGISTRY32, max_flips=0
@@ -496,10 +531,10 @@ def test_budget_truncation_releases_out_of_budget_origins():
 def test_apply_flip_strategy_realizes_chosen_mask():
     n = 4
     cfg = SssConfig(n, 31)
-    envs = full_envelopes(cfg)
+    shares = full_shares(cfg)
     controlled = {29, 30, 31}
     profile = attacker_profile(controlled)
-    state = phase(envs, {3, 4, 5, 6}, adversary=controlled)
+    state = phase(shares, {3, 4, 5, 6}, adversary=controlled)
     flips = mask0_recovery(state, profile, cfg)[1]
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
     final = apply_flip_strategy(state, profile, cfg, outcome.chosen, flips)
@@ -522,13 +557,17 @@ def test_apply_flip_strategy_realizes_chosen_mask():
 def test_share_conservation_through_attack():
     n = 4
     cfg = SssConfig(n, 31)
-    envs = full_envelopes(cfg)
+    shares = full_shares(cfg)
     controlled = {29, 30, 31}
     profile = attacker_profile(controlled)
-    state = phase(envs, {3, 4, 5, 6}, adversary=controlled)
+    state = phase(shares, {3, 4, 5, 6}, adversary=controlled)
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
     final = apply_flip_strategy(state, profile, cfg, outcome.chosen)
-    distributed = {(e.origin_slot, e.point) for e in envs}
+    distributed = {
+        (origin, point)
+        for origin, row in enumerate(shares)
+        for point in row
+    }
     assert all(
         (origin, point) in distributed
         for origin, points in enumerate(final.broadcast)
@@ -544,7 +583,7 @@ def test_prevention_theorem_randomized():
     for trial in range(5):
         controlled = set(rng.sample(range(32), 6))
         honest = set(range(32)) - controlled
-        state = phase(full_envelopes(cfg, random.Random(trial)), honest,
+        state = phase(full_shares(cfg, random.Random(trial)), honest,
                       adversary=controlled)
         profile = attacker_profile(controlled)
         assert set(mask0_recovery(state, profile, cfg)[1]) == set()
@@ -578,7 +617,7 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
     controlled = {v for v in range(12) if types[v] == ATTACKER}
     present = {v for v in range(12) if types[v] == PRESENT}
     state = phase(
-        full_envelopes(cfg, random.Random(seed), reveals),
+        full_shares(cfg, random.Random(seed), reveals),
         present, adversary=controlled & set(proposers),
         proposers=proposers,
     )
@@ -595,8 +634,8 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
         assert len(state.broadcast[origin]) == honest[kind]
         assert sum(
             1
-            for e in state.shares[origin]
-            if proposers[e.recipient_slot] in controlled
+            for p in state.shares[origin]
+            if proposers[holder_slot(origin, p.x)] in controlled
         ) == held[kind]
         if honest[kind] >= n:
             recovered.add(origin)
