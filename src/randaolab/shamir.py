@@ -72,6 +72,8 @@ def split_element(
 ) -> list[SharePoint]:
     """Share an arbitrary field element at x = 1..m."""
     field = value.field
+    if config.share_count_m >= field.modulus:
+        raise ValueError("share count must be below the field modulus")
     coeffs = _sample_polynomial(
         value.value, config.threshold_n - 1, field, entropy
     )
@@ -141,18 +143,23 @@ def secrecy_probe(
     down, so exactly one candidate survives.
     """
     pts = sorted(points, key=lambda p: p.x)
-    if len(pts) != len(set(p.x for p in pts)):
-        raise ValueError("share x coordinates must be distinct")
-    if len(pts) < config.threshold_n:
+    if not pts:
         return True
     field = pts[0].y.field
+    xs = {p.x % field.modulus for p in pts}
+    if 0 in xs or len(xs) != len(pts):
+        raise ValueError("share x coordinates must be nonzero and distinct")
     if not 0 <= candidate < field.modulus:
         raise ValueError("candidate out of field range")
-    base = [(p.x, p.y.value) for p in pts[: config.threshold_n]]
+    n = config.threshold_n
+    if len(pts) < n:
+        return True
+    base = [(p.x, p.y.value) for p in pts[:n]]
     if field.interpolate_at_zero(base) != candidate:
         return False
-    # Overdetermined: the remaining shares must sit on the same polynomial.
-    for p in pts[config.threshold_n :]:
-        if field.lagrange_eval(base, p.x) != p.y.value:
-            return False
-    return True
+    # A further share is on the base polynomial f iff the polynomial g through
+    # it and base[1:] has g(0) = f(0): f - g then has n roots, so f = g.
+    return all(
+        field.interpolate_at_zero([(p.x, p.y.value)] + base[1:]) == candidate
+        for p in pts[n:]
+    )

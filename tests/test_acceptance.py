@@ -370,6 +370,7 @@ def test_criterion_8_identical_reveals_identical_seeds(announce):
                 f"epoch {index}: interpolated seed differs"
             )
         elapsed = time.perf_counter() - start
+        assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"
         note["detail"] = (
             f"1000 epochs, full honesty: threshold recovery from the "
             f"broadcast shares reproduces every classic reveal and seed "

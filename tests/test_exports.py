@@ -162,6 +162,8 @@ REMOVED_MEMBERS = (
     ("PrimeField", "mul"),
     ("PrimeField", "neg"),
     ("PrimeField", "inv"),
+    ("PrimeField", "batch_inv"),
+    ("PrimeField", "lagrange_eval"),
     ("MetricsReport", "case_histogram"),
 )
 

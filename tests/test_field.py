@@ -1,10 +1,9 @@
-"""Field arithmetic: frozen small-modulus vectors, inversion,
-interpolation against exhaustive and dumb oracles, embedding."""
+"""Field arithmetic: frozen small-modulus vectors, polynomial
+evaluation and interpolation against exact and dumb oracles, embedding."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randaolab import field as field_module
 from randaolab.field import (
     FIELD_256,
     FieldElement,
@@ -19,11 +18,6 @@ F251 = PrimeField(251)
 
 
 # -- frozen vectors ------------------------------------------------------
-
-def test_inverse_mod_17():
-    assert F17.batch_inv([3]) == [6]
-    assert 3 * F17.batch_inv([3])[0] % F17.modulus == 1
-
 
 def test_poly_eval_mod_17():
     # f(x) = 3 + 2x at x = 3
@@ -77,11 +71,6 @@ def test_element_range_checked():
     assert F17.element(20).value == 3
 
 
-def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        F17.batch_inv([0])
-
-
 def test_interpolation_input_validation():
     with pytest.raises(ValueError):
         F17.interpolate_at_zero([])
@@ -92,6 +81,30 @@ def test_interpolation_input_validation():
     with pytest.raises(ValueError):
         # distinct as integers but equal mod p
         F17.interpolate_at_zero([(1, 5), (18, 6)])
+    with pytest.raises(ValueError):
+        F17.interpolate_at_zero([(17, 5)])
+    with pytest.raises(ValueError):
+        F17.interpolate_at_zero([(1, 5), (17, 6)])
+    # A valid set gives one value through any representative of its x's.
+    assert F17.interpolate_at_zero([(1, 5), (2, 6)]) == 4
+    assert F17.interpolate_at_zero([(18, 5), (2, 6)]) == 4
+
+
+def test_interpolation_errors_raise_on_every_call_after_caching():
+    # A valid call first, then each bad input raises on every repeat:
+    # no earlier result may be served in place of the check.
+    assert F17.interpolate_at_zero([(1, 5), (2, 6)]) == 4
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([])
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([(17, 5)])
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([(1, 5), (17, 6)])
+        with pytest.raises(ValueError):
+            F17.interpolate_at_zero([(1, 5), (18, 6)])
+    # The valid set is still served, also through another representative.
+    assert F17.interpolate_at_zero([(18, 5), (2, 6)]) == 4
 
 
 def test_share_point_validation():
@@ -99,26 +112,9 @@ def test_share_point_validation():
         SharePoint(0, F17.element(3))
 
 
-# -- inversion and polynomials ------------------------------------------
+# -- polynomials --------------------------------------------------------
 
 small_vals = st.integers(min_value=0, max_value=250)
-
-
-@given(a=st.integers(min_value=1, max_value=PRIME_256 - 1))
-@settings(max_examples=50)
-def test_inverse_production_field(a):
-    assert a * FIELD_256.batch_inv([a])[0] % FIELD_256.modulus == 1
-
-
-@given(values=st.lists(st.integers(min_value=1, max_value=250), min_size=1,
-                       max_size=20))
-def test_batch_inversion_matches_single(values):
-    assert F251.batch_inv(values) == [pow(v, -1, 251) for v in values]
-
-
-def test_batch_inversion_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        F251.batch_inv([3, 0, 5])
 
 
 @given(coeffs=st.lists(small_vals, min_size=1, max_size=8), x=small_vals)
@@ -149,30 +145,11 @@ def test_interpolation_recovers_constant_term(coeffs, data):
     assert F251.interpolate_at_zero(points) == coeffs[0]
 
 
-@given(
-    coeffs=st.lists(small_vals, min_size=1, max_size=5),
-    x=small_vals,
-    data=st.data(),
-)
-def test_lagrange_eval_matches_polynomial(coeffs, x, data):
-    k = len(coeffs)
-    xs = data.draw(
-        st.lists(
-            st.integers(min_value=1, max_value=250),
-            min_size=k,
-            max_size=k,
-            unique=True,
-        )
-    )
-    points = [(xi, F251.eval_at(coeffs, xi)) for xi in xs]
-    assert F251.lagrange_eval(points, x) == F251.eval_at(coeffs, x)
-
-
-# -- fast kernels against per-call oracles -------------------------------
+# -- kernels against exact and per-step oracles --------------------------
 #
-# interpolate_at_zero reads its Lagrange basis from a per-(field, x-set)
-# cache and eval_at reduces once per Horner pass; lagrange_eval and a
-# per-step-mod Horner are the oracles.
+# interpolate_at_zero is checked against sympy's interpolation over the
+# rationals, reduced mod m; eval_at, which reduces once per Horner pass,
+# against a per-step-mod Horner.
 
 FIELDS = st.sampled_from([F17, F251, FIELD_256])
 
@@ -197,11 +174,21 @@ def point_sets(draw):
     return f, list(zip(xs, ys))
 
 
+def rational_value_at_zero(points, modulus):
+    """The interpolating polynomial over Q at 0, reduced mod modulus: its
+    denominator divides products of x differences, all nonzero mod m."""
+    sympy = pytest.importorskip("sympy")
+    value = sympy.Rational(sympy.interpolate(points, 0))
+    return value.p * pow(value.q, -1, modulus) % modulus
+
+
 @given(case=point_sets())
 @settings(max_examples=200)
 def test_interpolate_at_zero_matches_lagrange_eval(case):
     f, points = case
-    assert f.interpolate_at_zero(points) == f.lagrange_eval(points, 0)
+    assert f.interpolate_at_zero(points) == rational_value_at_zero(
+        points, f.modulus
+    )
 
 
 def horner_mod_each_step(f, coefficients, x):
@@ -220,42 +207,13 @@ def test_eval_at_matches_per_step_mod_horner(f, data):
     assert f.eval_at(coeffs, x) == horner_mod_each_step(f, coeffs, x)
 
 
-def test_interpolation_errors_raise_on_every_call_after_caching():
-    assert F17.interpolate_at_zero([(1, 5), (2, 6)]) == 4
-    for _ in range(3):
-        with pytest.raises(ValueError):
-            F17.interpolate_at_zero([])
-        with pytest.raises(ValueError):
-            F17.interpolate_at_zero([(17, 5)])
-        with pytest.raises(ValueError):
-            F17.interpolate_at_zero([(1, 5), (17, 6)])
-        with pytest.raises(ValueError):
-            F17.interpolate_at_zero([(1, 5), (18, 6)])
-    # The valid set is still served, also through another representative.
-    assert F17.interpolate_at_zero([(18, 5), (2, 6)]) == 4
-
-
 def test_same_xs_in_two_fields_give_each_fields_answer():
     # f(x) = (x - 1) / 2 through (1, 0), (3, 1): f(0) = -1/2.
     points = [(1, 0), (3, 1)]
-    for _ in range(2):
-        for f in (F17, F251, FIELD_256):
-            assert f.interpolate_at_zero(points) == f.lagrange_eval(points, 0)
-            assert 2 * f.interpolate_at_zero(points) % f.modulus == (
-                f.modulus - 1
-            )
+    for f in (F17, F251, FIELD_256):
+        assert 2 * f.interpolate_at_zero(points) % f.modulus == f.modulus - 1
     answers = {f.interpolate_at_zero(points) for f in (F17, F251, FIELD_256)}
     assert len(answers) == 3
-
-
-def test_basis_cache_stays_bounded():
-    cache = field_module._basis_at_zero
-    bound = cache.cache_info().maxsize
-    assert bound == 256
-    for x in range(1, bound + 100):
-        FIELD_256.interpolate_at_zero([(x, 1), (x + 1, 2)])
-        assert cache.cache_info().currsize <= bound
-    assert cache.cache_info().currsize == bound
 
 
 # -- embedding ------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shamir splitting and recovery: frozen vectors over GF(17), round
 trips over the production field, secrecy probing."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,15 @@ def test_split_frozen_vector_mod_17():
     cfg = SssConfig(2, 3)
     shares = split_element(F17.element(3), cfg, FixedEntropy([2]))
     assert [(p.x, p.y.value) for p in shares] == [(1, 5), (2, 7), (3, 9)]
+
+
+def test_split_rejects_share_count_at_or_above_the_modulus():
+    # x = 17 is the secret itself in GF(17), and x = 18 repeats x = 1.
+    for m in (17, 20):
+        with pytest.raises(ValueError):
+            split_element(F17.element(5), SssConfig(3, m), random.Random(0))
+    shares = split_element(F17.element(5), SssConfig(3, 16), random.Random(0))
+    assert [p.x for p in shares] == list(range(1, 17))
 
 
 def test_recover_frozen_vector_mod_17():
@@ -181,20 +192,30 @@ def test_secrecy_probe_overdetermined_consistency():
 def test_secrecy_probe_overdetermined_against_exhaustive_oracle():
     # Oracle: enumerate every polynomial of degree <= n-1 over GF(17)
     # and keep the constant terms of those matching all observed shares.
+    # n to n+2 shares, every second set with one share moved off its
+    # polynomial.
     f = PrimeField(17)
-    cfg = SssConfig(2, 4)
     rng = random.Random(5)
-    for _ in range(20):
-        coeffs = [rng.randrange(17) for _ in range(2)]
-        xs = rng.sample(range(1, 17), 3)
-        pts = [SharePoint(x, f.element(f.eval_at(coeffs, x))) for x in xs]
-        oracle = set()
-        for c0 in range(17):
-            for c1 in range(17):
-                if all(f.eval_at([c0, c1], p.x) == p.y.value for p in pts):
-                    oracle.add(c0)
-        probe = {c for c in range(17) if secrecy_probe(pts, cfg, c)}
-        assert probe == oracle
+    sizes = Counter()
+    for n in (1, 2, 3):
+        cfg = SssConfig(n, n + 2)
+        for count in range(n, n + 3):
+            for trial in range(5):
+                coeffs = [rng.randrange(17) for _ in range(n)]
+                xs = rng.sample(range(1, 17), count)
+                ys = [f.eval_at(coeffs, x) for x in xs]
+                if trial % 2:
+                    ys[rng.randrange(count)] += rng.randrange(1, 17)
+                pts = [SharePoint(x, f.element(y)) for x, y in zip(xs, ys)]
+                oracle = {
+                    poly[0]
+                    for poly in itertools.product(range(17), repeat=n)
+                    if all(f.eval_at(poly, p.x) == p.y.value for p in pts)
+                }
+                probe = {c for c in range(17) if secrecy_probe(pts, cfg, c)}
+                assert probe == oracle, (n, xs, ys)
+                sizes[len(oracle)] += 1
+    assert sizes[0] > 0 and sizes[1] > 0
 
 
 def test_secrecy_probe_validation():
@@ -204,3 +225,12 @@ def test_secrecy_probe_validation():
         secrecy_probe([shares[0], shares[0]], cfg, 5)
     with pytest.raises(ValueError):
         secrecy_probe(shares[:2], cfg, 251)
+    with pytest.raises(ValueError):
+        secrecy_probe(shares[:1], cfg, 10**100)
+    # x coordinates distinct as integers but congruent, or zero, mod 17.
+    for xs in ((1, 18), (3, 17)):
+        pts = [SharePoint(x, F17.element(x)) for x in xs]
+        with pytest.raises(ValueError):
+            secrecy_probe(pts, cfg, 5)
+        with pytest.raises(ValueError):
+            secrecy_probe(pts, SssConfig(3, 3), 5)
