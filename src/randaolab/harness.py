@@ -142,7 +142,6 @@ def _shared_attacker(
 class ClassicTrialDetail(NamedTuple):
     registry: Registry
     profile: AttackerProfile
-    assignment_seed: bytes
     state: EpochState
     decision_slots: list[int]
     outcome: AttackOutcome
@@ -151,7 +150,6 @@ class ClassicTrialDetail(NamedTuple):
 class SssTrialDetail(NamedTuple):
     registry: Registry
     profile: AttackerProfile
-    assignment_seed: bytes
     observed: RevealPhaseState
     flip_slots: list[int]
     outcome: AttackOutcome
@@ -172,7 +170,6 @@ class TrialRow(NamedTuple):
     attacker_proposer_slots: int
     case_label: str
     unrecoverable_slots: int
-    distributed_slots: int
     stake_fraction: float
 
 
@@ -186,8 +183,7 @@ def _common_draws(cfg: ScenarioConfig, index: int):
     profile = _shared_attacker(
         cfg.balance_model, cfg.validator_count, cfg.attacker_stake_fraction
     ) or assign_attacker(cfg, registry)
-    assignment_seed = rng.randbytes(32)
-    proposers = select_proposers(assignment_seed, registry)
+    proposers = select_proposers(rng.randbytes(32), registry)
     honest_proposer_validators = sorted(
         set(proposers) - profile.controlled
     )
@@ -195,7 +191,7 @@ def _common_draws(cfg: ScenarioConfig, index: int):
     participating = frozenset(
         v for v in honest_proposer_validators if rng.random() < rate
     )
-    return rng, registry, profile, assignment_seed, proposers, participating
+    return rng, registry, profile, proposers, participating
 
 
 def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
@@ -203,8 +199,8 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
     tail withhold mask over the last min(tail_limit, strategy_cap) tail
     slots.  participation_rate here is the probability an honest
     proposer shows up at all (absent proposer = no reveal)."""
-    _, registry, profile, assignment_seed, proposers, participating = (
-        _common_draws(cfg, index)
+    _, registry, profile, proposers, participating = _common_draws(
+        cfg, index
     )
     # Read once: a record's field is a descriptor call on every read.
     controlled = profile.controlled
@@ -220,9 +216,7 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
     # names them.
     width = outcome.chosen.width
     decision = list(range(SLOTS_PER_EPOCH - width, SLOTS_PER_EPOCH))
-    return ClassicTrialDetail(
-        registry, profile, assignment_seed, state, decision, outcome
-    )
+    return ClassicTrialDetail(registry, profile, state, decision, outcome)
 
 
 def classic_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
@@ -241,7 +235,6 @@ def classic_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
         attacker_proposer_slots=attacker_slots_now,
         case_label="",
         unrecoverable_slots=0,
-        distributed_slots=0,
         stake_fraction=detail.profile.stake_fraction,
     )
 
@@ -265,8 +258,8 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         run_reveal_phase,
     )
 
-    rng, registry, profile, assignment_seed, proposers, participating = (
-        _common_draws(cfg, index)
+    rng, registry, profile, proposers, participating = _common_draws(
+        cfg, index
     )
     sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
     reveals = registry.reveals(proposers, index)
@@ -281,7 +274,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         epoch=index,
     )
     h_slots = sum(1 for v in proposers if v in controlled)
-    recovered, flip_slots = mask0_recovery(observed, profile, sss_cfg)
+    recovered, flip_slots = mask0_recovery(observed, sss_cfg)
     flip_slots = flip_slots[: cfg.strategy_cap]
     mask0_reveals = [
         reveal if slot in recovered else None
@@ -309,7 +302,6 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     return SssTrialDetail(
         registry,
         profile,
-        assignment_seed,
         observed,
         flip_slots,
         outcome,
@@ -339,7 +331,6 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
         attacker_proposer_slots=detail.h_slots,
         case_label=detail.case.value,
         unrecoverable_slots=unrecoverable,
-        distributed_slots=SLOTS_PER_EPOCH,
         stake_fraction=detail.profile.stake_fraction,
     )
 
@@ -384,10 +375,9 @@ def _aggregate(cfg: ScenarioConfig, rows: Sequence[TrialRow]) -> MetricsReport:
         std_error = 0.0
     achieved = math.fsum(r.stake_fraction for r in rows) / epochs
     fair_share = SLOTS_PER_EPOCH * achieved
-    distributed_total = sum(r.distributed_slots for r in rows)
-    unrecoverable_total = sum(r.unrecoverable_slots for r in rows)
-    failure_rate = (
-        unrecoverable_total / distributed_total if distributed_total else 0.0
+    # Every sss slot distributes; a classic row has none unrecoverable.
+    failure_rate = sum(r.unrecoverable_slots for r in rows) / (
+        SLOTS_PER_EPOCH * epochs
     )
     cases = Counter(r.case_label for r in rows if r.case_label)
     strategies = Counter(r.withheld for r in rows)

@@ -72,18 +72,34 @@ class RevealPhaseState(NamedTuple):
     """Everything observable once the reveal phase closes, per origin.
 
     shares[o] holds origin o's points in ascending x (empty if o never
-    distributed) and broadcast[o] those broadcast; participants are the
-    validator indices present in the reveal phase (honest participants
-    plus the adversary's); t counts slots whose proposer both
-    distributed and participates.
+    distributed); honest and adversarial are the validators present in
+    the reveal phase on each side; released holds the (origin, x) of
+    each share the adversary released; t counts slots whose proposer
+    both distributed and participates.
     """
 
     epoch: int
     proposer_by_slot: tuple[int, ...]
     shares: tuple[tuple[SharePoint, ...], ...]
-    participants: frozenset[int]
-    broadcast: tuple[tuple[SharePoint, ...], ...]
+    honest: frozenset[int]
+    adversarial: frozenset[int]
+    released: frozenset[tuple[int, int]]
     t: int
+
+    @property
+    def broadcast(self) -> tuple[tuple[SharePoint, ...], ...]:
+        """Per origin, the points broadcast: those an honest participant
+        holds, plus the adversary's release."""
+        heard = [v in self.honest for v in self.proposer_by_slot]
+        released = self.released
+        return tuple(
+            tuple(
+                p
+                for p, r in zip(row, _holder_slots(origin, row))
+                if heard[r] or (origin, p.x) in released
+            )
+            for origin, row in enumerate(self.shares)
+        )
 
 
 class RecoveryOutcome(NamedTuple):
@@ -132,6 +148,8 @@ def run_reveal_phase(
     broadcast every share they hold; the adversary broadcasts the held
     (origin, point) pairs in `released`, chosen after observing the
     honest broadcast (rushing model; apply_flip_strategy plans it).
+    The state records each release by (origin, x); its `broadcast` is
+    read from the participants and that release.
     Adversary participants count as present even when they release
     nothing, since they did distribute and show up.  A share listed
     twice is read once; two different points at one (origin, x) are
@@ -146,10 +164,6 @@ def run_reveal_phase(
     adversarial = frozenset(adversary_participants)
     if honest & adversarial:
         raise ValueError("a validator cannot be both honest and adversarial")
-    # Per slot: whether its proposer, who holds the shares sent to that
-    # slot, is an honest participant or the adversary's.
-    honest_slot = [v in honest for v in proposer_by_slot]
-    adversarial_slot = [v in adversarial for v in proposer_by_slot]
 
     # rows[o]: origin o's points in ascending x, each x once.  A row as
     # distribute_shares returns it (x = 1..31 in order) already is one;
@@ -168,34 +182,25 @@ def run_reveal_phase(
                     raise ValueError("two different shares at one (origin, x)")
             row = tuple(by_x[x] for x in sorted(by_x))
         rows.append(row)
-    # (origin, holder slot) of each share the adversary releases.
     revealed: set[tuple[int, int]] = set()
     for origin, p in released:
         if not (0 <= origin < SLOTS_PER_EPOCH and p in rows[origin]):
             raise ValueError("adversary released a share never distributed")
-        slot = _RECIPIENTS[origin][p.x - 1]
-        if not adversarial_slot[slot]:
+        if proposer_by_slot[_RECIPIENTS[origin][p.x - 1]] not in adversarial:
             raise ValueError("adversary released a share it does not hold")
-        revealed.add((origin, slot))
+        revealed.add((origin, p.x))
 
-    participants = honest | adversarial
     return RevealPhaseState(
         epoch=epoch,
         proposer_by_slot=proposer_by_slot,
         shares=tuple(rows),
-        participants=participants,
-        broadcast=tuple(
-            tuple(
-                p
-                for p, r in zip(row, _holder_slots(origin, row))
-                if honest_slot[r] or (origin, r) in revealed
-            )
-            for origin, row in enumerate(rows)
-        ),
+        honest=honest,
+        adversarial=adversarial,
+        released=frozenset(revealed),
         t=sum(
             1
             for v, row in zip(proposer_by_slot, rows)
-            if row and v in participants
+            if row and (v in honest or v in adversarial)
         ),
     )
 
@@ -244,68 +249,57 @@ def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
 
 
 def _origin_table(
-    state: RevealPhaseState,
-    attacker: AttackerProfile,
-    config: SssConfig,
-) -> tuple[list[list[SharePoint]], list[int], list[int]]:
-    """Per origin, the points the adversary's participants hold, in
-    ascending x, and the count of honest shares, and the ascending flip
-    set, all read from the honest-only view of `state`: any release it
-    holds is ignored."""
-    controlled = attacker.controlled
-    honest = state.participants - controlled
-    present = state.participants & controlled
-    mine = [v in present for v in state.proposer_by_slot]
-    heard = [v in honest for v in state.proposer_by_slot]
-    held: list[list[SharePoint]] = []
+    state: RevealPhaseState, config: SssConfig
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Per origin, the x's of the points the adversary's participants
+    hold, ascending, and the count of honest shares, and the ascending
+    flip set.  Read from the honest-only view of `state`, which is what
+    a rushing adversary observes: the release is never read."""
+    mine = [v in state.adversarial for v in state.proposer_by_slot]
+    heard = [v in state.honest for v in state.proposer_by_slot]
+    held: list[list[int]] = []
     honest_count: list[int] = []
     for origin, row in enumerate(state.shares):
         slots = _holder_slots(origin, row)
-        held.append([p for p, r in zip(row, slots) if mine[r]])
+        held.append([p.x for p, r in zip(row, slots) if mine[r]])
         honest_count.append(sum(map(heard.__getitem__, slots)))
     n = config.threshold_n
     flip = [
         origin
-        for origin, (count, points) in enumerate(zip(honest_count, held))
-        if count < n <= count + len(points)
+        for origin, (count, xs) in enumerate(zip(honest_count, held))
+        if count < n <= count + len(xs)
     ]
     return held, honest_count, flip
 
 
 def apply_flip_strategy(
     state: RevealPhaseState,
-    attacker: AttackerProfile,
     config: SssConfig,
     strategy: Strategy,
     flip_slots: Optional[Sequence[int]] = None,
 ) -> RevealPhaseState:
-    """Re-run the reveal phase with the adversary playing `strategy`
-    over `flip_slots` (default: the full ordered flip set).
+    """`state` with the adversary's release replaced by the one
+    `strategy` plays over `flip_slots` (default: the full ordered flip
+    set).
 
-    The release is planned on the honest-only view of `state`, which is
-    what a rushing adversary observes.  Withheld flip slots get nothing;
-    every other flippable origin — non-withheld flip slots and any
-    flippable origin outside the (possibly budget-truncated) flip_slots
-    list — is topped up to n with the adversary's lowest-x held shares.
-    Mask 0 therefore reproduces honest behavior exactly.
+    Withheld flip slots get nothing; every other flippable origin —
+    non-withheld flip slots and any flippable origin outside the
+    (possibly budget-truncated) flip_slots list — is topped up to n
+    with the adversary's lowest-x held shares.  Mask 0 therefore
+    reproduces honest behavior exactly.
     """
-    held, honest_count, flip = _origin_table(state, attacker, config)
+    held, honest_count, flip = _origin_table(state, config)
     if flip_slots is None:
         flip_slots = flip
     withheld = set(strategy.withheld(flip_slots))
     n = config.threshold_n
-    return run_reveal_phase(
-        state.shares,
-        state.participants - attacker.controlled,
-        [
-            (origin, p)
+    return state._replace(
+        released=frozenset(
+            (origin, x)
             for origin in flip
             if origin not in withheld
-            for p in held[origin][: n - honest_count[origin]]
-        ],
-        adversary_participants=state.participants & attacker.controlled,
-        proposer_by_slot=state.proposer_by_slot,
-        epoch=state.epoch,
+            for x in held[origin][: n - honest_count[origin]]
+        )
     )
 
 
@@ -319,7 +313,7 @@ def evaluate_flip_strategy(
 ) -> int:
     """Attacker proposer slots two epochs later if `strategy` is played,
     computed through the full reveal-phase / recovery path."""
-    final = apply_flip_strategy(state, attacker, config, strategy, flip_slots)
+    final = apply_flip_strategy(state, config, strategy, flip_slots)
     recovery = recover_all(final, config)
     return sum(
         1
@@ -329,9 +323,7 @@ def evaluate_flip_strategy(
 
 
 def mask0_recovery(
-    state: RevealPhaseState,
-    attacker: AttackerProfile,
-    config: SssConfig,
+    state: RevealPhaseState, config: SssConfig
 ) -> tuple[frozenset[int], list[int]]:
     """The origins that recover when the adversary plays mask 0, and
     the ascending flip set, from share counts alone.
@@ -343,7 +335,7 @@ def mask0_recovery(
     taken to have split its reveal honestly; recover_all is the oracle
     that decodes.
     """
-    _, honest_count, flip = _origin_table(state, attacker, config)
+    _, honest_count, flip = _origin_table(state, config)
     n = config.threshold_n
     recovered = frozenset(flip).union(
         origin for origin, count in enumerate(honest_count) if count >= n
@@ -368,10 +360,10 @@ def best_flip_strategy(
     under mask 0.  Mask bit i suppresses flip slot i.  The reveals a
     mask toggles are those recover_all decodes under mask 0.
     """
-    flip = _origin_table(state, attacker, config)[2]
+    flip = _origin_table(state, config)[2]
     flip_slots = flip[: strategy_budget(cap, max_flips)]
     mask0 = apply_flip_strategy(
-        state, attacker, config, Strategy(0, len(flip_slots)), flip_slots
+        state, config, Strategy(0, len(flip_slots)), flip_slots
     )
     return grind(
         *grind_inputs(recover_all(mask0, config).per_slot, flip_slots),

@@ -152,7 +152,7 @@ def test_sss_collusion_at_full_participation_has_no_lever():
 
 def oracle_decision_width(cfg: ScenarioConfig, index: int) -> int:
     """The flip count of trial `index` from its slot types, capped."""
-    _, _, profile, _, proposers, participating = _common_draws(cfg, index)
+    _, _, profile, proposers, participating = _common_draws(cfg, index)
     attacker = [v in profile.controlled for v in proposers]
     present = [v in participating for v in proposers]
     h = sum(attacker)

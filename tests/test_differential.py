@@ -82,43 +82,44 @@ GRID = {
 }
 
 # TrialRow tuples of every grid epoch, as the two-pass sss trial and the
-# per-protocol grinding loops produced them before the single kernel.
+# per-protocol grinding loops produced them before the single kernel,
+# less the dropped `distributed_slots` column.
 EXPECTED_ROWS = {
     "prevented": [
-        (1, 1, 0, 0, 32, 5, "prevented", 0, 32, 0.1),
-        (2, 2, 0, 0, 32, 3, "prevented", 0, 32, 0.1),
+        (1, 1, 0, 0, 32, 5, "prevented", 0, 0.1),
+        (2, 2, 0, 0, 32, 3, "prevented", 0, 0.1),
     ],
     "broken": [
-        (17, 17, 0, 0, 14, 10, "broken", 32, 32, 0.3),
-        (14, 14, 0, 0, 12, 9, "broken", 32, 32, 0.3),
+        (17, 17, 0, 0, 14, 10, "broken", 32, 0.3),
+        (14, 14, 0, 0, 12, 9, "broken", 32, 0.3),
     ],
     "broken-fallback": [
-        (10, 10, 0, 0, 14, 10, "broken", 32, 32, 0.3),
-        (9, 9, 0, 0, 12, 9, "broken", 32, 32, 0.3),
+        (10, 10, 0, 0, 14, 10, "broken", 32, 0.3),
+        (9, 9, 0, 0, 12, 9, "broken", 32, 0.3),
     ],
     "collusion-capped": [
-        (14, 8, 3, 3, 8, 8, "collusion", 3, 32, 0.3),
-        (14, 14, 3, 0, 5, 5, "collusion", 0, 32, 0.3),
+        (14, 8, 3, 3, 8, 8, "collusion", 3, 0.3),
+        (14, 14, 3, 0, 5, 5, "collusion", 0, 0.3),
     ],
     "sss-pareto": [
-        (11, 9, 4, 2, 12, 10, "prevented", 14, 32, 0.28725996059924286),
-        (15, 13, 4, 1, 17, 16, "collusion", 1, 32, 0.3948572748626346),
-        (14, 4, 4, 2, 19, 13, "collusion", 2, 32, 0.2599316483120623),
+        (11, 9, 4, 2, 12, 10, "prevented", 14, 0.28725996059924286),
+        (15, 13, 4, 1, 17, 16, "collusion", 1, 0.3948572748626346),
+        (14, 4, 4, 2, 19, 13, "collusion", 2, 0.2599316483120623),
     ],
     "classic": [
-        (26, 26, 2, 0, 32, 26, "", 0, 0, 0.7),
-        (28, 24, 5, 4, 32, 25, "", 0, 0, 0.7),
-        (27, 24, 7, 4, 32, 24, "", 0, 0, 0.7),
+        (26, 26, 2, 0, 32, 26, "", 0, 0.7),
+        (28, 24, 5, 4, 32, 25, "", 0, 0.7),
+        (27, 24, 7, 4, 32, 24, "", 0, 0.7),
     ],
     "classic-tail-limit": [
-        (26, 26, 1, 0, 32, 26, "", 0, 0, 0.7),
-        (24, 24, 1, 0, 32, 25, "", 0, 0, 0.7),
-        (24, 24, 1, 0, 32, 24, "", 0, 0, 0.7),
+        (26, 26, 1, 0, 32, 26, "", 0, 0.7),
+        (24, 24, 1, 0, 32, 25, "", 0, 0.7),
+        (24, 24, 1, 0, 32, 24, "", 0, 0.7),
     ],
     "classic-pareto-tail-limit": [
-        (21, 21, 2, 0, 32, 19, "", 0, 0, 0.607441603936727),
-        (26, 23, 2, 1, 32, 26, "", 0, 0, 0.7492317256831594),
-        (23, 15, 2, 2, 32, 24, "", 0, 0, 0.6214699496221436),
+        (21, 21, 2, 0, 32, 19, "", 0, 0.607441603936727),
+        (26, 23, 2, 1, 32, 26, "", 0, 0.7492317256831594),
+        (23, 15, 2, 2, 32, 24, "", 0, 0.6214699496221436),
     ],
 }
 EXPECTED_ROWS["classic-cap"] = EXPECTED_ROWS["classic-tail-limit"]
@@ -205,7 +206,7 @@ def test_sss_trial_matches_reveal_phase_oracle():
         detail = sss_trial_detail(cfg, index)
         sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
         cases.add(detail.case.value)
-        _, flips = mask0_recovery(detail.observed, detail.profile, sss_cfg)
+        _, flips = mask0_recovery(detail.observed, sss_cfg)
         flippable = set(flips)
         assert detail.flip_slots == sorted(flippable)[: cfg.strategy_cap]
         capped += len(flippable) > cfg.strategy_cap
@@ -228,8 +229,8 @@ def test_sss_trial_matches_reveal_phase_oracle():
 
         expected = recover_all(
             apply_flip_strategy(
-                detail.observed, detail.profile, sss_cfg,
-                detail.outcome.chosen, detail.flip_slots,
+                detail.observed, sss_cfg, detail.outcome.chosen,
+                detail.flip_slots,
             ),
             sss_cfg,
         )
@@ -254,9 +255,7 @@ def test_library_grinders_cut_as_the_trials_do(name):
         if cfg.protocol == "sss":
             detail = sss_trial_detail(cfg, index)
             sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
-            _, full = mask0_recovery(
-                detail.observed, detail.profile, sss_cfg
-            )
+            _, full = mask0_recovery(detail.observed, sss_cfg)
             outcome = best_flip_strategy(
                 detail.observed, detail.profile, sss_cfg, detail.registry,
                 cap=cfg.strategy_cap,

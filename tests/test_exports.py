@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import randaolab
+from randaolab import threshold_randao
 from randaolab.shamir import split_element
 
 MODULES = (
@@ -200,3 +201,13 @@ def test_share_holder_is_read_from_the_schedule_only():
 
 def test_split_element_takes_no_x_coords():
     assert "x_coords" not in inspect.signature(split_element).parameters
+
+
+def test_release_planners_read_the_sides_from_the_state():
+    # The reveal-phase state records who broadcast on each side and what
+    # was released; the broadcast is derived from those, not stored.
+    for fn in (threshold_randao.apply_flip_strategy,
+               threshold_randao.mask0_recovery):
+        assert "attacker" not in inspect.signature(fn).parameters
+    fields = threshold_randao.RevealPhaseState._fields
+    assert "participants" not in fields and "broadcast" not in fields

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from randaolab import harness, randao, shamir
+from randaolab import harness, randao, shamir, threshold_randao
 from randaolab.field import PrimeField
 from randaolab.harness import (
     COLUMNS,
@@ -289,6 +289,33 @@ def test_trials_leave_recovery_to_the_oracle(oracle_calls):
     assert set(oracle_calls) == {name for _, name in ORACLE_ONLY}
 
 
+def test_sss_trials_run_one_reveal_phase_and_read_no_broadcast(monkeypatch):
+    # A trial reads t and the share counts from the phase's inputs; only
+    # the oracle (recover_all) derives the broadcast.
+    calls = Counter()
+    run_reveal_phase = threshold_randao.run_reveal_phase
+    broadcast = threshold_randao.RevealPhaseState.broadcast
+
+    def counting_phase(*args, **kwargs):
+        calls["run_reveal_phase"] += 1
+        return run_reveal_phase(*args, **kwargs)
+
+    def counting_broadcast(state):
+        calls["broadcast"] += 1
+        return broadcast.fget(state)
+
+    monkeypatch.setattr(threshold_randao, "run_reveal_phase", counting_phase)
+    monkeypatch.setattr(threshold_randao.RevealPhaseState, "broadcast",
+                        property(counting_broadcast))
+    cfg = small(protocol="sss", participation_rate=0.5, sss_threshold_n=8,
+                strategy_cap=3)
+    assert run_scenario(cfg).mean_decision_width > 0
+    assert calls == Counter(run_reveal_phase=cfg.epochs)
+    # The oracle path is counted.
+    recover_all(sss_trial_detail(cfg, 0).observed, SssConfig(8, 31))
+    assert calls["broadcast"] == 1
+
+
 def test_shared_columns_are_keyed_on_balance_model_and_count():
     def columns(cfg):
         registry = build_registry(cfg, trial_rng(cfg.rng_seed, 0))
@@ -393,7 +420,8 @@ def test_classic_trial_rows_are_deterministic_and_bounded():
         assert 0 <= row.withheld <= row.decision_width <= 32
         assert 0 <= row.joined_slots <= 32
         assert row.case_label == ""
-        assert row.distributed_slots == 0
+    # No classic slot distributes shares, so none fails to recover.
+    assert run_scenario(cfg).recovery_failure_rate == 0.0
 
 
 def test_classic_zero_attacker_has_zero_bias():
@@ -485,7 +513,6 @@ def test_sss_rows_pair_with_classic_draws():
     sss = sss_trial_detail(cfg_s, 0)
     assert classic.registry == sss.registry
     assert classic.profile == sss.profile
-    assert classic.assignment_seed == sss.assignment_seed
     assert classic.state.proposer_by_slot == sss.observed.proposer_by_slot
 
 
@@ -505,9 +532,14 @@ def test_broken_seed_fallback_reuses_prior_seed():
     for index in range(cfg.epochs):
         row = sss_trial(cfg, index)
         detail = sss_trial_detail(cfg, index)
+        # The seed this epoch's schedule was drawn from: the trial's
+        # draw right after the registry's keys.
+        rng = trial_rng(cfg.rng_seed, index)
+        build_registry(cfg, rng)
+        seed = rng.randbytes(32)
         expected = sum(
             1
-            for v in select_proposers(detail.assignment_seed, detail.registry)
+            for v in select_proposers(seed, detail.registry)
             if v in detail.profile.controlled
         )
         assert row.payoff == row.honest_payoff == expected

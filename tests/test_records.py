@@ -57,9 +57,9 @@ RECORDS = [
     (SssConfig(2, 5), ("threshold_n", "share_count_m"),
      dict(threshold_n=0), ValueError),
     (RevealPhaseState(4, PROPOSERS, ((POINT,),) + ((),) * 31,
-                      frozenset({7}), ((POINT,),) + ((),) * 31, 1),
-     ("epoch", "proposer_by_slot", "shares", "participants", "broadcast",
-      "t"), None, None),
+                      frozenset({7}), frozenset({1}), frozenset({(0, 1)}), 2),
+     ("epoch", "proposer_by_slot", "shares", "honest", "adversarial",
+      "released", "t"), None, None),
     (RecoveryOutcome((bytes(32),) + (None,) * 31, bytes(32), bytes(32),
                      False),
      ("per_slot", "mix", "seed", "broken"), None, None),

@@ -221,7 +221,7 @@ def test_reveal_phase_reads_shuffled_and_repeated_shares_alike():
         state
     )
     assert sum(map(len, state.broadcast)) == 8 * 31 + 2
-    assert state.participants == frozenset(range(8)) | {31}
+    assert state.honest | state.adversarial == frozenset(range(8)) | {31}
 
 
 def test_release_is_planned_on_the_honest_only_view():
@@ -231,25 +231,19 @@ def test_release_is_planned_on_the_honest_only_view():
     cfg = SssConfig(4, 31)
     state = phase(full_shares(cfg), {0, 1, 2}, adversary={31})
     profile = attacker_profile({31})
-    flips = mask0_recovery(state, profile, cfg)[1]
+    flips = mask0_recovery(state, cfg)[1]
     for mask in (0, 0b101):
         strategy = Strategy(mask, len(flips))
-        once = apply_flip_strategy(state, profile, cfg, strategy)
-        assert apply_flip_strategy(once, profile, cfg, strategy) == once
-        assert apply_flip_strategy(
-            once, profile, cfg, strategy, flips
-        ) == once
+        once = apply_flip_strategy(state, cfg, strategy)
+        assert apply_flip_strategy(once, cfg, strategy) == once
+        assert apply_flip_strategy(once, cfg, strategy, flips) == once
         # The planners ignore the release too (a cap of 8 keeps the
         # grind small).
-        assert mask0_recovery(once, profile, cfg) == mask0_recovery(
-            state, profile, cfg
-        )
+        assert mask0_recovery(once, cfg) == mask0_recovery(state, cfg)
         assert best_flip_strategy(
             once, profile, cfg, REGISTRY32, cap=8
         ) == best_flip_strategy(state, profile, cfg, REGISTRY32, cap=8)
-    topped_up = apply_flip_strategy(
-        state, profile, cfg, Strategy(0, len(flips))
-    )
+    topped_up = apply_flip_strategy(state, cfg, Strategy(0, len(flips)))
     # Each of origins 3..30 gets one held share on top of its three.
     assert [len(p) for p in topped_up.broadcast] == (
         [2] * 3 + [4] * 28 + [3]
@@ -333,7 +327,7 @@ def test_best_flip_strategy_scores_a_corrupt_origin_as_absent():
     cfg = SssConfig(2, 31)
     state = corrupt_origin_state(cfg)
     profile = attacker_profile(range(16))
-    recovered, flips = mask0_recovery(state, profile, cfg)
+    recovered, flips = mask0_recovery(state, cfg)
     assert recovered == frozenset(range(32)) and flips == []
     oracle = recover_all(state, cfg)
     assert oracle.per_slot[0] is None
@@ -400,7 +394,7 @@ def test_flip_set_empty_under_full_participation():
     honest = set(range(32)) - controlled
     state = phase(full_shares(cfg), honest, adversary=controlled)
     profile = attacker_profile(controlled)
-    assert set(mask0_recovery(state, profile, cfg)[1]) == set()
+    assert set(mask0_recovery(state, cfg)[1]) == set()
 
 
 def test_flip_set_counting_edge():
@@ -411,7 +405,7 @@ def test_flip_set_counting_edge():
     honest = {0, 1, 2}  # origins inside get n-2 honest shares, others n-1
     controlled = {31}
     state = phase(shares, honest, adversary=controlled)
-    flips = set(mask0_recovery(state, attacker_profile(controlled), cfg)[1])
+    flips = set(mask0_recovery(state, cfg)[1])
     # Origins 0..2 have 2 honest shares + 1 adversary share < n: stuck.
     # Origins 3..30 have 3 honest + 1 adversary = n: flippable.
     # Origin 31 gets 3 honest shares and no adversary share (no self).
@@ -425,8 +419,8 @@ def test_an_absent_adversary_holds_nothing_to_release():
     cfg = SssConfig(4, 31)
     state = phase(full_shares(cfg), {0, 1, 2})
     profile = attacker_profile({31})
-    assert mask0_recovery(state, profile, cfg) == (frozenset(), [])
-    assert apply_flip_strategy(state, profile, cfg, Strategy(0, 0)) == state
+    assert mask0_recovery(state, cfg) == (frozenset(), [])
+    assert apply_flip_strategy(state, cfg, Strategy(0, 0)) == state
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
     assert outcome.chosen == Strategy(0, 0)
 
@@ -438,7 +432,7 @@ def test_flip_decision_slots_order_and_budget():
     profile = attacker_profile({31})
     # Origins 3..30 recover only as topped-up flip slots; 0..2 and 31
     # fall short of n even with the adversary's shares.
-    recovered, flips = mask0_recovery(state, profile, cfg)
+    recovered, flips = mask0_recovery(state, cfg)
     assert flips == list(range(3, 31))
     assert recovered == frozenset(flips)
     cut = best_flip_strategy(state, profile, cfg, REGISTRY32, max_flips=5)
@@ -470,7 +464,7 @@ def test_best_flip_matches_bruteforce_oracle():
     profile = attacker_profile(controlled)
     honest = {3, 4, 5, 6}
     state = phase(shares, honest, adversary=controlled)
-    flips = mask0_recovery(state, profile, cfg)[1]
+    flips = mask0_recovery(state, cfg)[1]
     assert flips == [3, 4, 5, 6]
     width = len(flips)
 
@@ -494,7 +488,7 @@ def test_best_flip_cap_and_budget():
     profile = attacker_profile({31})
     # The flip set is cut to its lowest min(cap, max_flips) slots, as
     # the harness cuts it, instead of failing.
-    assert len(set(mask0_recovery(state, profile, cfg)[1])) > 8
+    assert len(set(mask0_recovery(state, cfg)[1])) > 8
     capped = best_flip_strategy(state, profile, cfg, REGISTRY32, cap=8)
     assert capped.chosen.width == 8
     assert capped == best_flip_strategy(
@@ -519,8 +513,7 @@ def test_budget_truncation_releases_out_of_budget_origins():
     outcome = best_flip_strategy(
         state, profile, cfg, REGISTRY32, max_flips=0
     )
-    final = apply_flip_strategy(state, profile, cfg, outcome.chosen,
-                                flip_slots=[])
+    final = apply_flip_strategy(state, cfg, outcome.chosen, flip_slots=[])
     recovered = recover_all(final, cfg)
     for origin in range(3, 31):
         assert recovered.per_slot[origin] == REVEALS[origin]
@@ -535,9 +528,9 @@ def test_apply_flip_strategy_realizes_chosen_mask():
     controlled = {29, 30, 31}
     profile = attacker_profile(controlled)
     state = phase(shares, {3, 4, 5, 6}, adversary=controlled)
-    flips = mask0_recovery(state, profile, cfg)[1]
+    flips = mask0_recovery(state, cfg)[1]
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
-    final = apply_flip_strategy(state, profile, cfg, outcome.chosen, flips)
+    final = apply_flip_strategy(state, cfg, outcome.chosen, flips)
     recovery = recover_all(final, cfg)
     suppressed = set(outcome.chosen.withheld(flips))
     for origin in flips:
@@ -562,7 +555,7 @@ def test_share_conservation_through_attack():
     profile = attacker_profile(controlled)
     state = phase(shares, {3, 4, 5, 6}, adversary=controlled)
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
-    final = apply_flip_strategy(state, profile, cfg, outcome.chosen)
+    final = apply_flip_strategy(state, cfg, outcome.chosen)
     distributed = {
         (origin, point)
         for origin, row in enumerate(shares)
@@ -586,7 +579,7 @@ def test_prevention_theorem_randomized():
         state = phase(full_shares(cfg, random.Random(trial)), honest,
                       adversary=controlled)
         profile = attacker_profile(controlled)
-        assert set(mask0_recovery(state, profile, cfg)[1]) == set()
+        assert set(mask0_recovery(state, cfg)[1]) == set()
         outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
         assert outcome.payoff == outcome.honest_payoff
         assert outcome.chosen == Strategy(0, 0)
@@ -643,11 +636,47 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
             flips.append(origin)
             recovered.add(origin)
 
-    assert mask0_recovery(state, profile, cfg) == (frozenset(recovered), flips)
+    assert mask0_recovery(state, cfg) == (frozenset(recovered), flips)
     # The cryptographic path recovers the same origins, to their reveals.
-    final = apply_flip_strategy(
-        state, profile, cfg, Strategy(0, len(flips)), flips
-    )
+    final = apply_flip_strategy(state, cfg, Strategy(0, len(flips)), flips)
     assert recover_all(final, cfg).per_slot == tuple(
         reveals[o] if o in recovered else None for o in range(32)
     )
+
+
+def test_planned_release_is_valid_input_to_the_phase():
+    # apply_flip_strategy records its plan without running the phase,
+    # so the plan goes through run_reveal_phase's release checks here:
+    # over random schedules, participation sets and masks, the phase
+    # run on the released points gives the planned state, and the plan
+    # changes nothing but the release.
+    rng = random.Random(27)
+    shares = {n: full_shares(SssConfig(n, 31), random.Random(n))
+              for n in (4, 8, 16)}
+    planned = 0
+    for epoch in range(40):
+        n = rng.choice(sorted(shares))
+        cfg = SssConfig(n, 31)
+        proposers = tuple(rng.randrange(12) for _ in range(32))
+        types = [rng.choice((ATTACKER, PRESENT, ABSENT)) for _ in range(12)]
+        state = phase(
+            shares[n],
+            {v for v in range(12) if types[v] == PRESENT},
+            adversary={v for v in range(12) if types[v] == ATTACKER},
+            proposers=proposers,
+            epoch=epoch,
+        )
+        flips = mask0_recovery(state, cfg)[1]
+        strategy = Strategy(rng.randrange(1 << len(flips)), len(flips))
+        final = apply_flip_strategy(state, cfg, strategy, flips)
+        points = [
+            (origin, next(p for p in state.shares[origin] if p.x == x))
+            for origin, x in final.released
+        ]
+        assert final == phase(
+            state.shares, state.honest, points, adversary=state.adversarial,
+            proposers=state.proposer_by_slot, epoch=state.epoch,
+        )
+        assert final._replace(released=state.released) == state
+        planned += bool(final.released)
+    assert planned >= 10
