@@ -144,9 +144,9 @@ class ScenarioConfig(
                         f"{name} must be >= {lo}" if hi == math.inf
                         else f"{name} must be in [{lo}, {hi}]"
                     )
-            # -0.0 == 0.0, so equal configs must give equal report bytes.
-            if value == 0 and isinstance(value, float):
-                value = 0.0
+            # 1 == 1.0 and -0.0 == 0.0: equal configs, equal report bytes.
+            if FIELD_PARSERS[name] is float:
+                value = float(value) + 0.0
             values.append(value)
         model, arg = parse_balance_model(self.balance_model)
         if model == "explicit" and len(arg) != self.validator_count:

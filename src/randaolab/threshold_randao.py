@@ -74,8 +74,9 @@ class RevealPhaseState(NamedTuple):
     shares[o] holds origin o's points in ascending x (empty if o never
     distributed); honest and adversarial are the validators present in
     the reveal phase on each side; released holds the (origin, x) of
-    each share the adversary released; t counts slots whose proposer
-    both distributed and participates.
+    each share the adversary releases, empty as run_reveal_phase
+    returns it and planned by apply_flip_strategy; t counts slots whose
+    proposer both distributed and participates.
     """
 
     epoch: int
@@ -134,26 +135,22 @@ def distribute_shares(
 def run_reveal_phase(
     shares: Sequence[Iterable[SharePoint]],
     honest_participants: Iterable[int],
-    released: Iterable[tuple[int, SharePoint]] = (),
     *,
     adversary_participants: Iterable[int] = (),
     proposer_by_slot: Sequence[int],
     epoch: int,
 ) -> RevealPhaseState:
-    """Simultaneous honest broadcast plus the adversary's release.
+    """Simultaneous honest broadcast over the shares as distributed.
 
-    shares[o] lists origin o's distributed points; the point at x is
-    held by the proposer of slot _RECIPIENTS[o][x - 1] in
-    `proposer_by_slot`, one validator per slot.  Honest participants
-    broadcast every share they hold; the adversary broadcasts the held
-    (origin, point) pairs in `released`, chosen after observing the
-    honest broadcast (rushing model; apply_flip_strategy plans it).
-    The state records each release by (origin, x); its `broadcast` is
-    read from the participants and that release.
-    Adversary participants count as present even when they release
-    nothing, since they did distribute and show up.  A share listed
-    twice is read once; two different points at one (origin, x) are
-    rejected.
+    shares[o] lists origin o's points, x strictly ascending within
+    1..31: a row as distribute_shares returns it, or one with some
+    points dropped.  The point at x is held by the proposer of slot
+    _RECIPIENTS[o][x - 1] in `proposer_by_slot`, one validator per
+    slot.  Honest participants broadcast every share they hold.  The
+    state's release is empty: apply_flip_strategy plans it from this
+    honest-only view, as a rushing adversary observes it.  Adversary
+    participants count as present even when they release nothing,
+    since they did distribute and show up.
     """
     proposer_by_slot = tuple(proposer_by_slot)
     if len(proposer_by_slot) != SLOTS_PER_EPOCH:
@@ -165,30 +162,17 @@ def run_reveal_phase(
     if honest & adversarial:
         raise ValueError("a validator cannot be both honest and adversarial")
 
-    # rows[o]: origin o's points in ascending x, each x once.  A row as
-    # distribute_shares returns it (x = 1..31 in order) already is one;
-    # any other row is regrouped by x.
     rows = []
     for points in shares:
         row = tuple(points)
-        if [p.x for p in row] != _ALL_X:
-            by_x: dict[int, SharePoint] = {}
-            for p in row:
-                if not 1 <= p.x <= SHARES_PER_SECRET:
-                    raise ValueError(
-                        f"share x must be in 1..{SHARES_PER_SECRET}"
-                    )
-                if by_x.setdefault(p.x, p) != p:
-                    raise ValueError("two different shares at one (origin, x)")
-            row = tuple(by_x[x] for x in sorted(by_x))
+        xs = [p.x for p in row]
+        if xs != _ALL_X and any(
+            a >= b for a, b in zip([0, *xs], [*xs, SHARES_PER_SECRET + 1])
+        ):
+            raise ValueError(
+                f"a row's x must ascend strictly within 1..{SHARES_PER_SECRET}"
+            )
         rows.append(row)
-    revealed: set[tuple[int, int]] = set()
-    for origin, p in released:
-        if not (0 <= origin < SLOTS_PER_EPOCH and p in rows[origin]):
-            raise ValueError("adversary released a share never distributed")
-        if proposer_by_slot[_RECIPIENTS[origin][p.x - 1]] not in adversarial:
-            raise ValueError("adversary released a share it does not hold")
-        revealed.add((origin, p.x))
 
     return RevealPhaseState(
         epoch=epoch,
@@ -196,7 +180,7 @@ def run_reveal_phase(
         shares=tuple(rows),
         honest=honest,
         adversarial=adversarial,
-        released=frozenset(revealed),
+        released=frozenset(),
         t=sum(
             1
             for v, row in zip(proposer_by_slot, rows)
@@ -280,7 +264,8 @@ def apply_flip_strategy(
 ) -> RevealPhaseState:
     """`state` with the adversary's release replaced by the one
     `strategy` plays over `flip_slots` (default: the full ordered flip
-    set).
+    set).  This is the one place a release is made; it holds only
+    shares the adversary's participants hold.
 
     Withheld flip slots get nothing; every other flippable origin —
     non-withheld flip slots and any flippable origin outside the

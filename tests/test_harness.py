@@ -725,6 +725,24 @@ def test_emit_is_deterministic():
     assert first.getvalue() == second.getvalue()
 
 
+def test_int_and_float_fractions_emit_equal_bytes():
+    # ScenarioConfig(attacker_stake_fraction=0) equals and hashes as the
+    # float form, so by the determinism contract it prints the same
+    # report, in CSV and in JSON.
+    forms = [
+        small(epochs=2, attacker_stake_fraction=zero, participation_rate=one)
+        for zero, one in ((0, 1), (0.0, 1.0))
+    ]
+    assert forms[0] == forms[1] and hash(forms[0]) == hash(forms[1])
+    for fmt in ("csv", "json"):
+        texts = []
+        for cfg in forms:
+            buffer = io.StringIO()
+            emit(run_scenario(cfg), fmt, buffer)
+            texts.append(buffer.getvalue())
+        assert texts[0] == texts[1], fmt
+
+
 def test_emit_to_path_and_errors(tmp_path):
     report = run_scenario(small(epochs=1))
     out = tmp_path / "report.json"

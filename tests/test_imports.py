@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses or imports
 `dataclasses`, no private helper is left without a reader, no public
-name is left without a caller, a serial run loads no process-pool or
+name is left without a caller, no defaulted parameter of a public
+function is left unpassed, a serial run loads no process-pool or
 `secrets` machinery, a classic run loads neither the share layer (field,
 shamir, threshold_randao) nor `json`, and no run loads `dataclasses` or
 `inspect`.
@@ -13,6 +14,8 @@ somewhere in the package, as a name or as an attribute.  Every public
 function and class defined there must be read the same way, and every
 public method and property as an attribute, by the package (re-exports
 do not count) or by the benchmark, bar a short REFERENCE_ONLY list.
+Every parameter with a default of such a function must be passed, by
+position or by keyword, by a call in those same callers.
 """
 
 import ast
@@ -20,7 +23,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 import pytest
 
@@ -222,6 +225,99 @@ def test_every_public_name_has_a_caller():
         path.read_text(encoding="utf-8") for path in SOURCES + BENCHMARK
     ]
     assert unread_public_names(sources, readers) == sorted(REFERENCE_ONLY)
+
+
+def _defaulted_parameters(
+    tree: ast.Module,
+) -> Iterable[tuple[str, str, Optional[int]]]:
+    """(function, parameter, position) for each parameter with a default
+    of each module-level public function; keyword-only ones have no
+    position."""
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def unpassed_defaults(
+    sources: dict[str, str], readers: Iterable[str]
+) -> list[str]:
+    """`module:function(parameter)` for each defaulted parameter of a
+    public function of `sources` that no call in `readers` passes, by
+    position or by keyword.  Calls match by bare name, as a function or
+    as an attribute; a `*` argument may pass any position and a `**`
+    argument any keyword."""
+    calls: dict[str, list[tuple[float, set[Optional[str]]]]] = {}
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(
+                node.func, "attr", None
+            )
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((
+                float("inf") if starred else len(node.args),
+                {keyword.arg for keyword in node.keywords},
+            ))
+    return sorted(
+        f"{module}:{function}({parameter})"
+        for module, text in sources.items()
+        for function, parameter, index in _defaulted_parameters(
+            ast.parse(text)
+        )
+        if not any(
+            (index is not None and index < positional)
+            or parameter in keywords
+            or None in keywords
+            for positional, keywords in calls.get(function, ())
+        )
+    )
+
+
+def test_checker_flags_unpassed_defaults():
+    sources = {
+        "a": (
+            "def f(a, b=1, c=2, *, d=3, e=4): ...\n"
+            "def g(x=1, *, y=2): ...\n"
+            "def h(z=1): ...\n"
+            "def _private(w=1): ...\n"
+        ),
+    }
+    readers = [
+        "import a\n"
+        "a.f(0, 1, e=5)\n"
+        "g(*args)\n"
+        "h(**options)\n"
+    ]
+    assert unpassed_defaults(sources, readers) == [
+        "a:f(c)", "a:f(d)", "a:g(y)"
+    ]
+    assert unpassed_defaults(sources, []) == [
+        "a:f(b)", "a:f(c)", "a:f(d)", "a:f(e)", "a:g(x)", "a:g(y)",
+        "a:h(z)",
+    ]
+
+
+def test_every_default_is_passed_by_some_caller():
+    # A parameter no caller passes serves only the tests: its default is
+    # the one value the program runs.  Callers are as for public names.
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in PACKAGE
+    }
+    readers = [
+        path.read_text(encoding="utf-8") for path in SOURCES + BENCHMARK
+    ]
+    assert unpassed_defaults(sources, readers) == []
 
 
 def imported_modules(source: str) -> set[str]:

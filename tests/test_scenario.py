@@ -109,8 +109,10 @@ def test_validation_accepts_int_fractions_and_no_tail_limit():
     cfg = ScenarioConfig(
         attacker_stake_fraction=0, participation_rate=1, tail_limit=None
     )
-    assert type(cfg.attacker_stake_fraction) is int
+    # An int fraction is stored as the equal float, so it prints as one.
+    assert type(cfg.attacker_stake_fraction) is float
     assert cfg.attacker_stake_fraction == 0
+    assert type(cfg.participation_rate) is float
     assert cfg.participation_rate == 1
     cfg = ScenarioConfig(tail_limit=0, broken_seed_fallback=True)
     assert cfg.tail_limit == 0 and cfg.broken_seed_fallback is True
