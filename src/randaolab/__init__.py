@@ -62,7 +62,6 @@ _LAZY = {
         "split",
     ),
     "threshold_randao": (
-        "RecoveryOutcome",
         "RevealPhaseState",
         "SecurityCase",
         "apply_flip_strategy",

@@ -162,7 +162,7 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
         _print_masks(detail, index, detail.mask0_reveals,
                      detail.flip_slots, "suppress")
         unrecoverable = [
-            s for s, r in enumerate(detail.recovery.per_slot) if r is None
+            s for s, r in enumerate(detail.per_slot) if r is None
         ]
         print(f"unrecoverable slots after attack: {unrecoverable}")
     print(f"honest payoff {detail.outcome.honest_payoff}, best "

@@ -33,8 +33,6 @@ from .randao import (
     SLOTS_PER_EPOCH,
     EpochState,
     Registry,
-    derive_seed,
-    mix_reveals,
     select_proposers,
 )
 from .scenario import (
@@ -46,11 +44,7 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
-    from .threshold_randao import (
-        RecoveryOutcome,
-        RevealPhaseState,
-        SecurityCase,
-    )
+    from .threshold_randao import RevealPhaseState, SecurityCase
 
 
 class EmitError(RuntimeError):
@@ -154,7 +148,7 @@ class SssTrialDetail(NamedTuple):
     flip_slots: list[int]
     outcome: AttackOutcome
     mask0_reveals: list[Optional[bytes]]
-    recovery: RecoveryOutcome
+    per_slot: tuple[Optional[bytes], ...]
     case: SecurityCase
     h_slots: int
 
@@ -251,7 +245,6 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     from .shamir import SssConfig
     from .threshold_randao import (
         SHARES_PER_SECRET,
-        RecoveryOutcome,
         classify_security_case,
         distribute_shares,
         mask0_recovery,
@@ -291,13 +284,6 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         None if slot in withheld else reveal
         for slot, reveal in enumerate(mask0_reveals)
     )
-    mix = mix_reveals(per_slot)
-    recovery = RecoveryOutcome(
-        per_slot=per_slot,
-        mix=mix,
-        seed=derive_seed(mix, index),
-        broken=observed.t < cfg.sss_threshold_n,
-    )
     case = classify_security_case(observed.t, h_slots, cfg.sss_threshold_n)
     return SssTrialDetail(
         registry,
@@ -306,7 +292,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         flip_slots,
         outcome,
         mask0_reveals,
-        recovery,
+        per_slot,
         case,
         h_slots,
     )
@@ -316,12 +302,13 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
     detail = sss_trial_detail(cfg, index)
     payoff = detail.outcome.payoff
     honest = detail.outcome.honest_payoff
-    if detail.recovery.broken and cfg.broken_seed_fallback:
+    case = detail.case.value
+    if case == "broken" and cfg.broken_seed_fallback:
         # Previous seed reused verbatim: the attacker gets its slots in
         # the unbiased schedule, no grinding surface.  That seed drew
         # this epoch's own schedule, so those slots are h_slots.
         payoff = honest = detail.h_slots
-    unrecoverable = sum(1 for r in detail.recovery.per_slot if r is None)
+    unrecoverable = sum(1 for r in detail.per_slot if r is None)
     return TrialRow(
         payoff=payoff,
         honest_payoff=honest,
@@ -329,7 +316,7 @@ def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
         withheld=detail.outcome.chosen.withheld_count,
         joined_slots=detail.observed.t,
         attacker_proposer_slots=detail.h_slots,
-        case_label=detail.case.value,
+        case_label=case,
         unrecoverable_slots=unrecoverable,
         stake_fraction=detail.profile.stake_fraction,
     )

@@ -100,7 +100,7 @@ _FIELDS = {
     "balance_model": ("uniform", str, (str,), None),
     "attacker_stake_fraction": (0.3, float, (int, float), (0, 1)),
     "protocol": ("classic", str, (str,), None),
-    "sss_threshold_n": (16, int, (int,), None),
+    "sss_threshold_n": (16, int, (int,), (1, SLOTS_PER_EPOCH - 1)),
     "participation_rate": (1.0, float, (int, float), (0, 1)),
     "epochs": (1000, int, (int,), (1, math.inf)),
     "rng_seed": (0, int, (int,), (0, 2**64 - 1)),
@@ -167,10 +167,6 @@ class ScenarioConfig(
             )
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}")
-        if self.protocol == "sss" and not (
-            1 <= self.sss_threshold_n <= SLOTS_PER_EPOCH - 1
-        ):
-            raise ConfigError("sss_threshold_n must be in [1, 31]")
         return tuple.__new__(cls, values)
 
     def replace(self, **changes: object) -> "ScenarioConfig":

@@ -103,16 +103,6 @@ class RevealPhaseState(NamedTuple):
         )
 
 
-class RecoveryOutcome(NamedTuple):
-    """per_slot holds the recovered 32-byte reveal or None; mix and seed
-    treat None as an absent proposer; broken marks t < n epochs."""
-
-    per_slot: tuple[Optional[bytes], ...]
-    mix: bytes
-    seed: bytes
-    broken: bool
-
-
 def distribute_shares(
     reveal: bytes,
     config: SssConfig,
@@ -189,22 +179,19 @@ def run_reveal_phase(
     )
 
 
-def recover_all(state: RevealPhaseState, config: SssConfig) -> RecoveryOutcome:
-    """Recover every slot with >= n broadcast shares; the rest are
-    treated as absent proposers (zero contribution to the mix)."""
+def recover_all(
+    state: RevealPhaseState, config: SssConfig
+) -> tuple[Optional[bytes], ...]:
+    """Per slot, the reveal decoded from its broadcast shares, or None
+    where fewer than n arrive or they do not decode; mix_reveals counts
+    a None as an absent proposer."""
     per_slot: list[Optional[bytes]] = []
     for points in state.broadcast:
         try:
             per_slot.append(recover(points, config))
         except (InsufficientShares, CorruptShares):
             per_slot.append(None)
-    mix = mix_reveals(per_slot)
-    return RecoveryOutcome(
-        per_slot=tuple(per_slot),
-        mix=mix,
-        seed=derive_seed(mix, state.epoch),
-        broken=state.t < config.threshold_n,
-    )
+    return tuple(per_slot)
 
 
 def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
@@ -299,10 +286,10 @@ def evaluate_flip_strategy(
     """Attacker proposer slots two epochs later if `strategy` is played,
     computed through the full reveal-phase / recovery path."""
     final = apply_flip_strategy(state, config, strategy, flip_slots)
-    recovery = recover_all(final, config)
+    seed = derive_seed(mix_reveals(recover_all(final, config)), state.epoch)
     return sum(
         1
-        for idx in select_proposers(recovery.seed, registry)
+        for idx in select_proposers(seed, registry)
         if idx in attacker.controlled
     )
 
@@ -351,7 +338,7 @@ def best_flip_strategy(
         state, config, Strategy(0, len(flip_slots)), flip_slots
     )
     return grind(
-        *grind_inputs(recover_all(mask0, config).per_slot, flip_slots),
+        *grind_inputs(recover_all(mask0, config), flip_slots),
         state.epoch,
         registry,
         attacker.controlled,

@@ -215,6 +215,10 @@ BAD_INPUTS = {
     "threshold-0": (
         ["simulate", *BASE, "--protocol", "sss", "--threshold", "0"], None
     ),
+    "threshold-0-classic": (
+        ["simulate", *BASE, "--protocol", "classic", "--threshold", "0"],
+        None,
+    ),
 }
 
 

@@ -31,13 +31,16 @@ MODULES = (
 # runners beside run_scenario, the grinders' old over-budget error, a
 # list copy of Registry.limits, the trial's own Lagrange recovery, and
 # library-only twins of the selection count, a registry reveal, the
-# flip set and the grinders' mask enumeration, and the share envelope
-# with its slot-to-x map (a share's holder follows from origin and x).
+# flip set and the grinders' mask enumeration, the share envelope
+# with its slot-to-x map (a share's holder follows from origin and x),
+# and the recovery record (its mix and seed follow from the per-slot
+# reveals, its broken flag from the security case).
 REMOVED = (
     "AdversaryDecision",
     "ELEMENT_BYTES",
     "ENVELOPE_WIRE_BYTES",
     "FORMATS",
+    "RecoveryOutcome",
     "Reveal",
     "SCENARIO_COLUMNS",
     "SECONDS_PER_SLOT",

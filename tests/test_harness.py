@@ -545,6 +545,27 @@ def test_broken_seed_fallback_reuses_prior_seed():
         assert row.payoff == row.honest_payoff == expected
 
 
+def test_broken_seed_fallback_touches_only_broken_epochs():
+    # Epochs of all three cases: the fallback pins a broken epoch's
+    # payoff to its own schedule and leaves every other row as it was.
+    off = ScenarioConfig(
+        validator_count=60, attacker_stake_fraction=0.3, protocol="sss",
+        participation_rate=0.3, sss_threshold_n=12, strategy_cap=6,
+        epochs=12, rng_seed=4,
+    )
+    on = off.replace(broken_seed_fallback=True)
+    cases = Counter()
+    for index in range(off.epochs):
+        row, plain = sss_trial(on, index), sss_trial(off, index)
+        cases[row.case_label] += 1
+        if row.case_label == "broken":
+            assert row.payoff == row.honest_payoff
+            assert row.payoff == row.attacker_proposer_slots
+        else:
+            assert row == plain
+    assert cases == {"prevented": 10, "broken": 1, "collusion": 1}
+
+
 # -- aggregation ----------------------------------------------------------------
 
 def test_strategy_histogram_sums_to_epochs():

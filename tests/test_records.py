@@ -1,4 +1,4 @@
-"""The thirteen records, seven of the classic path and six of the
+"""The twelve records, seven of the classic path and five of the
 share layer, are validated, immutable named tuples with pinned field
 names, order and repr.  Their checks run in the constructor, also when
 the worker pool unpickles them and when `ScenarioConfig.replace` copies
@@ -15,7 +15,7 @@ from randaolab.harness import MetricsReport
 from randaolab.randao import SLOTS_PER_EPOCH, EpochState, Validator
 from randaolab.scenario import ConfigError, ScenarioConfig
 from randaolab.shamir import SssConfig
-from randaolab.threshold_randao import RecoveryOutcome, RevealPhaseState
+from randaolab.threshold_randao import RevealPhaseState
 
 PROPOSERS = tuple(range(SLOTS_PER_EPOCH))
 METRICS = (9.5, 9.6, -0.1, 0.25, 0.0, 0, 0, 0, "0:4", 0.0, 32.0, 9.5, 0.3)
@@ -60,9 +60,6 @@ RECORDS = [
                       frozenset({7}), frozenset({1}), frozenset({(0, 1)}), 2),
      ("epoch", "proposer_by_slot", "shares", "honest", "adversarial",
       "released", "t"), None, None),
-    (RecoveryOutcome((bytes(32),) + (None,) * 31, bytes(32), bytes(32),
-                     False),
-     ("per_slot", "mix", "seed", "broken"), None, None),
 ]
 
 

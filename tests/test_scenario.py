@@ -7,11 +7,12 @@ import random
 import pytest
 
 from randaolab.adversary import DEFAULT_STRATEGY_CAP
-from randaolab.randao import MAX_EFFECTIVE_BALANCE
+from randaolab.randao import MAX_EFFECTIVE_BALANCE, SLOTS_PER_EPOCH
 from randaolab.scenario import (
     MAX_SWEEP_CELLS,
     MAX_VALIDATORS,
     MIN_PARETO_SHAPE,
+    PROTOCOLS,
     ConfigError,
     ScenarioConfig,
     grid_cells,
@@ -65,6 +66,8 @@ def test_defaults():
         {"protocol": "pos"},
         {"protocol": "sss", "sss_threshold_n": 0},
         {"protocol": "sss", "sss_threshold_n": 32},
+        {"protocol": "classic", "sss_threshold_n": 0},
+        {"protocol": "classic", "sss_threshold_n": 32},
         {"participation_rate": -0.2},
         {"participation_rate": 1.01},
         {"epochs": 0},
@@ -149,10 +152,16 @@ def test_validator_count_upper_bound_is_inclusive():
     assert cfg.validator_count == MAX_VALIDATORS == 2**20
 
 
-def test_threshold_unchecked_for_classic():
-    # The threshold only matters when the sss protocol is selected.
-    cfg = ScenarioConfig(protocol="classic", sss_threshold_n=99)
-    assert cfg.sss_threshold_n == 99
+def test_threshold_bounds_hold_for_every_protocol():
+    # The threshold is a report column under either protocol, so its
+    # bounds are checked under both; they are inclusive.
+    for protocol in PROTOCOLS:
+        for n in (1, SLOTS_PER_EPOCH - 1):
+            cfg = ScenarioConfig(protocol=protocol, sss_threshold_n=n)
+            assert cfg.sss_threshold_n == n
+        with pytest.raises(ConfigError) as raised:
+            ScenarioConfig(protocol=protocol, sss_threshold_n=99)
+        assert str(raised.value) == "sss_threshold_n must be in [1, 31]"
 
 
 def test_balance_model_parsing():

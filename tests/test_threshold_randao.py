@@ -130,9 +130,9 @@ def test_empty_participation_yields_nothing():
     assert state.t == 0
     assert state.broadcast == ((),) * 32
     outcome = recover_all(state, cfg)
-    assert outcome.per_slot == (None,) * 32
-    assert outcome.mix == b"\x00" * 32
-    assert outcome.broken
+    assert outcome == (None,) * 32
+    assert mix_reveals(outcome) == b"\x00" * 32
+    assert state.t < cfg.threshold_n
 
 
 def test_share_index_is_bijection_per_origin():
@@ -271,13 +271,12 @@ def test_recover_all_equals_classic_mix_under_full_honesty():
     cfg = SssConfig(16, 31)
     state = phase(full_shares(cfg), set(range(32)))
     outcome = recover_all(state, cfg)
-    assert outcome.per_slot == tuple(REVEALS)
+    assert outcome == tuple(REVEALS)
     classic = EpochState(0, IDENTITY)
     for slot in range(32):
         classic.post_reveal(slot, REVEALS[slot])
-    assert outcome.mix == classic.mix
-    assert outcome.seed == derive_seed(classic.mix, 0)
-    assert not outcome.broken
+    assert mix_reveals(outcome) == classic.mix
+    assert state.t >= cfg.threshold_n
 
 
 def test_slot_below_threshold_is_absent_from_mix():
@@ -287,13 +286,7 @@ def test_slot_below_threshold_is_absent_from_mix():
     # Drop enough of origin 4's shares that only n-1 remain broadcast.
     shares[4] = shares[4][31 - (n - 1):]
     state = phase(shares, set(range(32)))
-    outcome = recover_all(state, cfg)
-    assert outcome.per_slot[4] is None
-    assert all(
-        outcome.per_slot[s] == REVEALS[s] for s in range(32) if s != 4
-    )
-    expected = [r if i != 4 else None for i, r in enumerate(REVEALS)]
-    assert outcome.mix == mix_reveals(expected)
+    assert recover_all(state, cfg) == (*REVEALS[:4], None, *REVEALS[5:])
 
 
 def corrupt_origin_state(cfg):
@@ -309,8 +302,8 @@ def corrupt_origin_state(cfg):
 def test_corrupt_origin_downgraded_to_unrecoverable():
     cfg = SssConfig(2, 31)
     outcome = recover_all(corrupt_origin_state(cfg), cfg)
-    assert outcome.per_slot[0] is None
-    assert outcome.per_slot[1] == REVEALS[1]
+    assert outcome[0] is None
+    assert outcome[1] == REVEALS[1]
 
 
 def test_best_flip_strategy_scores_a_corrupt_origin_as_absent():
@@ -322,12 +315,12 @@ def test_best_flip_strategy_scores_a_corrupt_origin_as_absent():
     recovered, flips = mask0_recovery(state, cfg)
     assert recovered == frozenset(range(32)) and flips == []
     oracle = recover_all(state, cfg)
-    assert oracle.per_slot[0] is None
-    assert oracle.mix == mix_reveals([None] + REVEALS[1:])
+    assert oracle == (None, *REVEALS[1:])
+    seed = derive_seed(mix_reveals(oracle), state.epoch)
     outcome = best_flip_strategy(state, profile, cfg, REGISTRY32)
     assert outcome.chosen == Strategy(0, 0)
     assert outcome.honest_payoff == sum(
-        1 for v in select_proposers(oracle.seed, REGISTRY32) if v < 16
+        1 for v in select_proposers(seed, REGISTRY32) if v < 16
     )
 
 
@@ -337,7 +330,7 @@ def test_missing_distribution_marks_slot_unrecoverable():
     shares[11] = []
     state = phase(shares, set(range(32)))
     outcome = recover_all(state, cfg)
-    assert outcome.per_slot[11] is None
+    assert outcome[11] is None
     assert state.t == 31  # t only counts slots that distributed
 
 
@@ -508,9 +501,9 @@ def test_budget_truncation_releases_out_of_budget_origins():
     final = apply_flip_strategy(state, cfg, outcome.chosen, flip_slots=[])
     recovered = recover_all(final, cfg)
     for origin in range(3, 31):
-        assert recovered.per_slot[origin] == REVEALS[origin]
+        assert recovered[origin] == REVEALS[origin]
     honest_only = recover_all(state, cfg)
-    assert all(honest_only.per_slot[o] is None for o in range(3, 31))
+    assert all(honest_only[o] is None for o in range(3, 31))
 
 
 def test_apply_flip_strategy_realizes_chosen_mask():
@@ -527,14 +520,13 @@ def test_apply_flip_strategy_realizes_chosen_mask():
     suppressed = set(outcome.chosen.withheld(flips))
     for origin in flips:
         if origin in suppressed:
-            assert recovery.per_slot[origin] is None
+            assert recovery[origin] is None
         else:
-            assert recovery.per_slot[origin] == REVEALS[origin]
+            assert recovery[origin] == REVEALS[origin]
     # Recomputing the payoff through the real path agrees.
+    seed = derive_seed(mix_reveals(recovery), state.epoch)
     count = sum(
-        1
-        for idx in select_proposers(recovery.seed, REGISTRY32)
-        if idx in controlled
+        1 for idx in select_proposers(seed, REGISTRY32) if idx in controlled
     )
     assert count == outcome.payoff
 
@@ -631,7 +623,7 @@ def test_share_counts_follow_the_slot_types(types, proposers, n, seed):
     assert mask0_recovery(state, cfg) == (frozenset(recovered), flips)
     # The cryptographic path recovers the same origins, to their reveals.
     final = apply_flip_strategy(state, cfg, Strategy(0, len(flips)), flips)
-    assert recover_all(final, cfg).per_slot == tuple(
+    assert recover_all(final, cfg) == tuple(
         reveals[o] if o in recovered else None for o in range(32)
     )
 
