@@ -21,7 +21,8 @@ from .harness import (
     sss_trial_detail,
     sweep,
 )
-from .scenario import SCENARIO_FIELDS, ConfigError, load_grid, load_scenario
+from .scenario import FIELD_PARSERS, PROTOCOLS, ConfigError
+from .scenario import load_grid, load_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,51 +35,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", metavar="PATH", help="scenario config file")
-        # Each scenario flag's dest is the ScenarioConfig field it overrides.
-        p.add_argument("--protocol", choices=("classic", "sss"))
-        p.add_argument("--epochs", type=int, metavar="N")
-        for flag, kind, metavar, field in (
-            ("--seed", int, "N", "rng_seed"),
-            ("--validators", int, "N", "validator_count"),
-            ("--stake", float, "F", "attacker_stake_fraction"),
-            ("--participation", float, "F", "participation_rate"),
-            ("--threshold", int, "N", "sss_threshold_n"),
-            ("--cap", int, "N", "strategy_cap"),
-        ):
-            p.add_argument(flag, type=kind, metavar=metavar, dest=field,
-                           help=field)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", metavar="PATH",
+                          help="scenario config file")
+    # Each scenario flag's dest is the ScenarioConfig field it overrides,
+    # and its type that field's parser.
+    for flag, metavar, field in (
+        ("--protocol", None, "protocol"),
+        ("--epochs", "N", "epochs"),
+        ("--seed", "N", "rng_seed"),
+        ("--validators", "N", "validator_count"),
+        ("--stake", "F", "attacker_stake_fraction"),
+        ("--participation", "F", "participation_rate"),
+        ("--threshold", "N", "sss_threshold_n"),
+        ("--cap", "N", "strategy_cap"),
+    ):
+        scenario.add_argument(
+            flag, type=FIELD_PARSERS[field], metavar=metavar, dest=field,
+            choices=PROTOCOLS if field == "protocol" else None, help=field,
+        )
 
-    simulate = sub.add_parser("simulate", help="run one scenario")
-    add_scenario_flags(simulate)
-    simulate.add_argument("--out", metavar="PATH",
-                          help="output file (default stdout)")
-    simulate.add_argument("--format", choices=("csv", "json"), default="csv")
-    simulate.add_argument("--workers", type=int, default=1, metavar="N")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="PATH",
+                        help="output file (default stdout)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--workers", type=int, default=1, metavar="N")
 
-    sweep_cmd = sub.add_parser("sweep", help="run a config-file grid")
+    sub.add_parser("simulate", parents=[scenario, output],
+                   help="run one scenario")
+    sweep_cmd = sub.add_parser("sweep", parents=[output],
+                               help="run a config-file grid")
     sweep_cmd.add_argument("--config", metavar="PATH", required=True)
-    sweep_cmd.add_argument("--out", metavar="PATH")
-    sweep_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_cmd.add_argument("--workers", type=int, default=1, metavar="N")
 
-    demo = sub.add_parser(
-        "attack-demo", help="trace one epoch's strategy grinding"
-    )
-    add_scenario_flags(demo)
+    demo = sub.add_parser("attack-demo", parents=[scenario],
+                          help="trace one epoch's strategy grinding")
     demo.add_argument("--trial", type=int, default=0, metavar="N",
                       help="trial index to trace")
     return parser
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for field in SCENARIO_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
-            out[field] = value
-    return out
+    return {
+        field: value
+        for field, value in vars(args).items()
+        if field in FIELD_PARSERS and value is not None
+    }
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

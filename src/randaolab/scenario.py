@@ -10,6 +10,7 @@ documented in the README.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -184,11 +185,15 @@ def _parse_field(key: str, raw: str) -> object:
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
+def _read_config(path: str) -> dict[str, list[tuple[str, str]]]:
+    """The file's [scenario] and [grid] (key, raw value) pairs, in file
+    order; an absent section has none."""
     # No interpolation: a '%' stays in its value and fails that field's
     # check, instead of raising from configparser while values are read.
+    # No header can name the default section "" ("[]" is no header), so
+    # [DEFAULT] is an unknown section, not keys added to every section.
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#",), interpolation=None
+        default_section="", inline_comment_prefixes=("#",), interpolation=None
     )
     try:
         with open(path, encoding="utf-8") as handle:
@@ -197,22 +202,19 @@ def _read_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+    sections: dict[str, list[tuple[str, str]]] = {"scenario": [], "grid": []}
     for section in parser.sections():
-        if section not in ("scenario", "grid"):
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-    return parser
+        sections[section] = parser.items(section)
+    return sections
 
 
 def _scenario(
-    parser: Optional[configparser.ConfigParser],
-    overrides: Optional[dict] = None,
+    section: Sequence[tuple[str, str]], overrides: Optional[dict] = None
 ) -> ScenarioConfig:
-    """Defaults, then the parser's [scenario] section, then any
-    overrides (already-typed values, e.g. from CLI flags)."""
-    values: dict[str, object] = {}
-    if parser is not None and parser.has_section("scenario"):
-        for key, raw in parser.items("scenario"):
-            values[key] = _parse_field(key, raw)
+    """Defaults, then the [scenario] pairs, then any overrides."""
+    values = {key: _parse_field(key, raw) for key, raw in section}
     for key, value in (overrides or {}).items():
         if key not in FIELD_PARSERS:
             raise ConfigError(f"unknown scenario key {key!r}")
@@ -225,22 +227,19 @@ def load_scenario(
 ) -> ScenarioConfig:
     """Defaults, then the config file's [scenario] section, then any
     overrides (already-typed values, e.g. from CLI flags)."""
-    parser = _read_config(path) if path is not None else None
-    return _scenario(parser, overrides)
+    return _scenario(
+        _read_config(path)["scenario"] if path is not None else (), overrides
+    )
 
 
 def load_grid(path: str) -> tuple[ScenarioConfig, list[tuple[str, list]]]:
     """Base scenario plus the sweep axes, in file order."""
-    parser = _read_config(path)
-    base = _scenario(parser)
-
-    axes: list[tuple[str, list]] = []
-    if parser.has_section("grid"):
-        for key, raw in parser.items("grid"):
-            values = [
-                _parse_field(key, part) for part in raw.split(",")
-            ]
-            axes.append((key, values))
+    config = _read_config(path)
+    base = _scenario(config["scenario"])
+    axes = [
+        (key, [_parse_field(key, part) for part in raw.split(",")])
+        for key, raw in config["grid"]
+    ]
     if not axes:
         raise ConfigError("sweep config needs a non-empty [grid] section")
     _check_grid_size(axes)
@@ -259,13 +258,11 @@ def _check_grid_size(axes: Sequence[tuple[str, list]]) -> None:
 def grid_cells(
     base: ScenarioConfig, axes: Sequence[tuple[str, list]]
 ) -> list[ScenarioConfig]:
-    """Cartesian product in row-major order: later axes vary fastest."""
+    """Cartesian product in row-major order, later axes varying fastest:
+    each cell is `base` with all its axis values, checked whole."""
     _check_grid_size(axes)
-    configs = [base]
-    for key, values in axes:
-        configs = [
-            cfg.replace(**{key: value})
-            for cfg in configs
-            for value in values
-        ]
-    return configs
+    keys = [key for key, _ in axes]
+    return [
+        base.replace(**dict(zip(keys, cell)))
+        for cell in itertools.product(*(values for _, values in axes))
+    ]

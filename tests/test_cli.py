@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from randaolab.cli import build_parser, main
 from randaolab.harness import COLUMNS, classic_trial
 from randaolab.scenario import (
+    FIELD_PARSERS,
     MAX_VALIDATORS,
+    PROTOCOLS,
     SCENARIO_FIELDS,
     load_scenario,
 )
@@ -30,21 +32,27 @@ def run_main(argv, capsys):
 
 
 def test_scenario_flags_write_their_scenario_fields():
-    # A scenario flag's argparse dest is the field it overrides, so the
-    # CLI keeps no flag-to-field map of its own.
+    # A scenario flag's argparse dest is the field it overrides and its
+    # type that field's parser, so the CLI keeps no flag-to-field map,
+    # parser or protocol list of its own.
     other = {"help", "config", "out", "format", "workers", "trial"}
     subparsers = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
     for command in ("simulate", "attack-demo"):
-        dests = {
-            action.dest
+        actions = [
+            action
             for action in subparsers.choices[command]._actions
             if action.dest not in other
-        }
+        ]
+        dests = {action.dest for action in actions}
         assert dests <= set(SCENARIO_FIELDS), command
         assert len(dests) == 8, command
+        for action in actions:
+            assert action.type is FIELD_PARSERS[action.dest], action.dest
+            if action.dest == "protocol":
+                assert tuple(action.choices) == PROTOCOLS
 
 
 # -- simulate ------------------------------------------------------------------
@@ -219,6 +227,20 @@ BAD_INPUTS = {
         ["simulate", *BASE, "--protocol", "classic", "--threshold", "0"],
         None,
     ),
+    # [DEFAULT] is a section like any other, not keys for every section.
+    "default-section-simulate": (
+        ["simulate"], b"[DEFAULT]\nepochs = 3\nbogus_key = 7\n"
+    ),
+    "default-section-sweep": (
+        ["sweep"],
+        b"[DEFAULT]\nepochs = 2\n[scenario]\nvalidator_count = 50\n"
+        b"[grid]\nrng_seed = 1, 2\n",
+    ),
+    # Grid values split at commas, so a grid cannot hold an explicit
+    # list of more than one balance.
+    "grid-explicit-list": (
+        ["sweep"], b"[grid]\nbalance_model = uniform, explicit:1,2\n"
+    ),
 }
 
 
@@ -291,6 +313,30 @@ def test_sweep_emits_one_row_per_cell(tmp_path, capsys):
     assert len(lines) == 5  # header + 4 cells
     stakes = [line.split(",")[2] for line in lines[1:]]
     assert stakes == ["0.0", "0.0", "0.3", "0.3"]
+
+
+def test_sweep_rows_equal_simulate_of_each_cell(tmp_path, capsys):
+    # Only whole cells are checked: the explicit one-balance list is
+    # valid with validator_count = 1, not with the base's 200.
+    path = tmp_path / "sweep.ini"
+    path.write_text(
+        "[scenario]\nepochs = 2\n[grid]\n"
+        "balance_model = explicit:32000000000\nvalidator_count = 1\n"
+        "attacker_stake_fraction = 0.0, 1.0\n"
+    )
+    code, out, err = run_main(["sweep", "--config", str(path)], capsys)
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert len(rows) == 2
+    for stake, row in zip(("0.0", "1.0"), rows):
+        cell = tmp_path / f"cell-{stake}.ini"
+        cell.write_text(
+            "[scenario]\nepochs = 2\nbalance_model = explicit:32000000000\n"
+            f"validator_count = 1\nattacker_stake_fraction = {stake}\n"
+        )
+        code, single, _ = run_main(["simulate", "--config", str(cell)], capsys)
+        assert code == 0
+        assert single.splitlines() == [header, row]
 
 
 def test_sweep_requires_grid_section(tmp_path, capsys):

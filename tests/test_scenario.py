@@ -266,6 +266,17 @@ def test_load_scenario_rejects_unknown_section(tmp_path):
     path.write_text("[simulation]\nepochs = 50\n")
     with pytest.raises(ConfigError, match="unknown config section"):
         load_scenario(str(path))
+    # [DEFAULT] too: its keys neither reach [scenario] nor become axes.
+    unknown = r"unknown config section \[DEFAULT\]"
+    path.write_text("[DEFAULT]\nepochs = 3\nbogus_key = 7\n")
+    with pytest.raises(ConfigError, match=unknown):
+        load_scenario(str(path))
+    path.write_text(
+        "[DEFAULT]\nepochs = 2\n[scenario]\nvalidator_count = 50\n"
+        "[grid]\nrng_seed = 1, 2\n"
+    )
+    with pytest.raises(ConfigError, match=unknown):
+        load_grid(str(path))
 
 
 def test_load_scenario_missing_file():
@@ -360,8 +371,49 @@ def test_grid_cells_checks_its_size_before_building(monkeypatch):
     assert built == []
     cells = grid_cells(ScenarioConfig(), [("rng_seed", [1, 2])])
     assert len(cells) == len(built) == 2
+    # One scenario per cell, built with all of the cell's axis values.
+    built.clear()
+    cells = grid_cells(
+        ScenarioConfig(epochs=1),
+        [("protocol", ["classic", "sss"]), ("rng_seed", [1, 2, 3])],
+    )
+    assert len(cells) == len(built) == 6
+    assert built[-1] == {"protocol": "sss", "rng_seed": 3}
 
 
 def test_grid_cells_validates_each_cell():
     with pytest.raises(ConfigError):
         grid_cells(ScenarioConfig(), [("epochs", [1, 0])])
+
+
+def test_grid_cells_builds_each_cell_whole(tmp_path):
+    # The base's 200 validators do not fit the one-balance list; each
+    # whole cell does, and equals its single-scenario config.
+    path = tmp_path / "sweep.ini"
+    path.write_text(
+        "[scenario]\nepochs = 2\n[grid]\n"
+        "balance_model = explicit:32000000000\nvalidator_count = 1\n"
+        "attacker_stake_fraction = 0.0, 1.0\n"
+    )
+    cells = grid_cells(*load_grid(str(path)))
+    assert cells == [
+        ScenarioConfig(
+            epochs=2,
+            balance_model="explicit:32000000000",
+            validator_count=1,
+            attacker_stake_fraction=stake,
+        )
+        for stake in (0.0, 1.0)
+    ]
+
+
+def test_grid_cells_without_axes_is_the_base():
+    base = ScenarioConfig(epochs=3, rng_seed=5)
+    assert grid_cells(base, []) == [base]
+
+
+def test_grid_cells_later_axis_on_a_key_wins():
+    cells = grid_cells(
+        ScenarioConfig(), [("rng_seed", [1, 2]), ("rng_seed", [7])]
+    )
+    assert [c.rng_seed for c in cells] == [7, 7]
