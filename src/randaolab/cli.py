@@ -133,30 +133,30 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
           f"{cfg.validator_count} stake={cfg.attacker_stake_fraction} "
           f"participation={cfg.participation_rate} seed={cfg.rng_seed} "
           f"trial={index}")
-    if cfg.protocol == "classic":
-        detail = classic_trial_detail(cfg, index)
-    else:
-        detail = sss_trial_detail(cfg, index)
+    classic = cfg.protocol == "classic"
+    trial_detail = classic_trial_detail if classic else sss_trial_detail
+    detail = trial_detail(cfg, index)
+    row = detail.row
     print(f"attacker stake achieved: "
           f"{detail.profile.stake_fraction:.4f} "
           f"({len(detail.profile.controlled)} validators)")
-    if cfg.protocol == "classic":
+    if classic:
         attacker_now = [
             s
             for s, v in enumerate(detail.state.proposer_by_slot)
             if v in detail.profile.controlled
         ]
         print(f"attacker proposer slots this epoch: {attacker_now}")
-        h = len(detail.decision_slots)
+        h = row.decision_width
         print(f"tail decision slots: {detail.decision_slots} (h = {h}, "
               f"2^{h} = {1 << h} strategies)")
         _print_masks(detail, index, detail.state.posted,
                      detail.decision_slots, "withhold")
     else:
-        print(f"joined proposer slots t = {detail.observed.t}, attacker "
-              f"slots h = {detail.h_slots}, threshold n = "
+        print(f"joined proposer slots t = {row.joined_slots}, attacker "
+              f"slots h = {row.attacker_proposer_slots}, threshold n = "
               f"{cfg.sss_threshold_n}")
-        print(f"security case: {detail.case.value}")
+        print(f"security case: {row.case_label}")
         width = len(detail.flip_slots)
         print(f"flippable origin slots: {detail.flip_slots} "
               f"(2^{width} = {1 << width} strategies)")
@@ -166,9 +166,11 @@ def _cmd_attack_demo(args: argparse.Namespace) -> int:
             s for s, r in enumerate(detail.per_slot) if r is None
         ]
         print(f"unrecoverable slots after attack: {unrecoverable}")
-    print(f"honest payoff {detail.outcome.honest_payoff}, best "
-          f"{detail.outcome.payoff} "
-          f"(gain {detail.outcome.payoff - detail.outcome.honest_payoff})")
+        if row.case_label == "broken" and cfg.broken_seed_fallback:
+            print("broken epoch under broken_seed_fallback: the previous "
+                  "seed is reused; no mask above takes effect")
+    print(f"honest payoff {row.honest_payoff}, best {row.payoff} "
+          f"(gain {row.payoff - row.honest_payoff})")
     return 0
 
 

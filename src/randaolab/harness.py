@@ -44,7 +44,7 @@ from .scenario import (
 )
 
 if TYPE_CHECKING:
-    from .threshold_randao import RevealPhaseState, SecurityCase
+    from .threshold_randao import RevealPhaseState
 
 
 class EmitError(RuntimeError):
@@ -133,26 +133,6 @@ def _shared_attacker(
     return assign_attacker(cfg, registry)
 
 
-class ClassicTrialDetail(NamedTuple):
-    registry: Registry
-    profile: AttackerProfile
-    state: EpochState
-    decision_slots: list[int]
-    outcome: AttackOutcome
-
-
-class SssTrialDetail(NamedTuple):
-    registry: Registry
-    profile: AttackerProfile
-    observed: RevealPhaseState
-    flip_slots: list[int]
-    outcome: AttackOutcome
-    mask0_reveals: list[Optional[bytes]]
-    per_slot: tuple[Optional[bytes], ...]
-    case: SecurityCase
-    h_slots: int
-
-
 class TrialRow(NamedTuple):
     """Slim per-trial record; everything the aggregator needs."""
 
@@ -165,6 +145,26 @@ class TrialRow(NamedTuple):
     case_label: str
     unrecoverable_slots: int
     stake_fraction: float
+
+
+class ClassicTrialDetail(NamedTuple):
+    registry: Registry
+    profile: AttackerProfile
+    state: EpochState
+    decision_slots: list[int]
+    outcome: AttackOutcome
+    row: TrialRow
+
+
+class SssTrialDetail(NamedTuple):
+    registry: Registry
+    profile: AttackerProfile
+    observed: RevealPhaseState
+    flip_slots: list[int]
+    outcome: AttackOutcome  # the grinder's; `row` applies the fallback
+    mask0_reveals: list[Optional[bytes]]
+    per_slot: tuple[Optional[bytes], ...]
+    row: TrialRow
 
 
 def _common_draws(cfg: ScenarioConfig, index: int):
@@ -210,27 +210,22 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
     # names them.
     width = outcome.chosen.width
     decision = list(range(SLOTS_PER_EPOCH - width, SLOTS_PER_EPOCH))
-    return ClassicTrialDetail(registry, profile, state, decision, outcome)
+    row = TrialRow(
+        payoff=outcome.payoff,
+        honest_payoff=outcome.honest_payoff,
+        decision_width=width,
+        withheld=outcome.chosen.withheld_count,
+        joined_slots=sum(1 for r in posted if r is not None),
+        attacker_proposer_slots=sum(1 for v in proposers if v in controlled),
+        case_label="",
+        unrecoverable_slots=0,
+        stake_fraction=profile.stake_fraction,
+    )
+    return ClassicTrialDetail(registry, profile, state, decision, outcome, row)
 
 
 def classic_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
-    detail = classic_trial_detail(cfg, index)
-    posted = sum(1 for r in detail.state.posted if r is not None)
-    controlled = detail.profile.controlled
-    attacker_slots_now = sum(
-        1 for v in detail.state.proposer_by_slot if v in controlled
-    )
-    return TrialRow(
-        payoff=detail.outcome.payoff,
-        honest_payoff=detail.outcome.honest_payoff,
-        decision_width=len(detail.decision_slots),
-        withheld=detail.outcome.chosen.withheld_count,
-        joined_slots=posted,
-        attacker_proposer_slots=attacker_slots_now,
-        case_label="",
-        unrecoverable_slots=0,
-        stake_fraction=detail.profile.stake_fraction,
-    )
+    return classic_trial_detail(cfg, index).row
 
 
 def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
@@ -285,41 +280,31 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         for slot, reveal in enumerate(mask0_reveals)
     )
     case = classify_security_case(observed.t, h_slots, cfg.sss_threshold_n)
+    payoff, honest = outcome.payoff, outcome.honest_payoff
+    if case.value == "broken" and cfg.broken_seed_fallback:
+        # Previous seed reused verbatim: the attacker gets its slots in
+        # the unbiased schedule, no grinding surface.  That seed drew
+        # this epoch's own schedule, so those slots are h_slots.
+        payoff = honest = h_slots
+    row = TrialRow(
+        payoff=payoff,
+        honest_payoff=honest,
+        decision_width=len(flip_slots),
+        withheld=outcome.chosen.withheld_count,
+        joined_slots=observed.t,
+        attacker_proposer_slots=h_slots,
+        case_label=case.value,
+        unrecoverable_slots=sum(1 for r in per_slot if r is None),
+        stake_fraction=profile.stake_fraction,
+    )
     return SssTrialDetail(
-        registry,
-        profile,
-        observed,
-        flip_slots,
-        outcome,
-        mask0_reveals,
-        per_slot,
-        case,
-        h_slots,
+        registry, profile, observed, flip_slots, outcome, mask0_reveals,
+        per_slot, row,
     )
 
 
 def sss_trial(cfg: ScenarioConfig, index: int) -> TrialRow:
-    detail = sss_trial_detail(cfg, index)
-    payoff = detail.outcome.payoff
-    honest = detail.outcome.honest_payoff
-    case = detail.case.value
-    if case == "broken" and cfg.broken_seed_fallback:
-        # Previous seed reused verbatim: the attacker gets its slots in
-        # the unbiased schedule, no grinding surface.  That seed drew
-        # this epoch's own schedule, so those slots are h_slots.
-        payoff = honest = detail.h_slots
-    unrecoverable = sum(1 for r in detail.per_slot if r is None)
-    return TrialRow(
-        payoff=payoff,
-        honest_payoff=honest,
-        decision_width=len(detail.flip_slots),
-        withheld=detail.outcome.chosen.withheld_count,
-        joined_slots=detail.observed.t,
-        attacker_proposer_slots=detail.h_slots,
-        case_label=case,
-        unrecoverable_slots=unrecoverable,
-        stake_fraction=detail.profile.stake_fraction,
-    )
+    return sss_trial_detail(cfg, index).row
 
 
 class MetricsReport(NamedTuple):

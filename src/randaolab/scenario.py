@@ -236,10 +236,20 @@ def load_grid(path: str) -> tuple[ScenarioConfig, list[tuple[str, list]]]:
     """Base scenario plus the sweep axes, in file order."""
     config = _read_config(path)
     base = _scenario(config["scenario"])
-    axes = [
-        (key, [_parse_field(key, part) for part in raw.split(",")])
-        for key, raw in config["grid"]
-    ]
+    scenario_keys = {key for key, _ in config["scenario"]}
+    axes = []
+    for key, raw in config["grid"]:
+        if key in scenario_keys:
+            raise ConfigError(f"{key} is set in both [scenario] and [grid]")
+        parts = raw.split(",")
+        if key == "balance_model" and "explicit:" in raw and any(
+            part.strip().isdigit() for part in parts
+        ):
+            raise ConfigError(
+                "balance_model: a [grid] value is split at commas, so an "
+                "explicit: list of more than one balance belongs in [scenario]"
+            )
+        axes.append((key, [_parse_field(key, part) for part in parts]))
     if not axes:
         raise ConfigError("sweep config needs a non-empty [grid] section")
     _check_grid_size(axes)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from randaolab.cli import build_parser, main
-from randaolab.harness import COLUMNS, classic_trial
+from randaolab.harness import COLUMNS, classic_trial, sss_trial
 from randaolab.scenario import (
     FIELD_PARSERS,
     MAX_VALIDATORS,
@@ -241,6 +241,27 @@ BAD_INPUTS = {
     "grid-explicit-list": (
         ["sweep"], b"[grid]\nbalance_model = uniform, explicit:1,2\n"
     ),
+    "grid-explicit-pair": (
+        ["sweep"],
+        b"[scenario]\nvalidator_count = 2\n"
+        b"[grid]\nbalance_model = explicit:32000000000,32000000000\n",
+    ),
+    # One key, one home: the grid does not silently override [scenario].
+    "sweep-key-in-both-sections": (
+        ["sweep"],
+        b"[scenario]\nepochs = 5\nvalidator_count = 20\n"
+        b"[grid]\nepochs = 1, 2\n",
+    ),
+}
+
+# The rows whose message must say more than "config error:".
+BAD_INPUT_MESSAGES = {
+    "grid-explicit-list": "balance_model: a [grid] value is split at "
+                          "commas, so an explicit: list of more than one "
+                          "balance belongs in [scenario]",
+    "grid-explicit-pair": "a [grid] value is split at commas",
+    "sweep-key-in-both-sections": "config error: epochs is set in both "
+                                  "[scenario] and [grid]",
 }
 
 
@@ -255,6 +276,7 @@ def test_bad_input_exits_2_without_a_traceback(name, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")
+    assert BAD_INPUT_MESSAGES.get(name, "") in err
     assert "Traceback" not in err
 
 
@@ -420,6 +442,47 @@ def test_attack_demo_replays_the_trial_under_a_tail_limit(tmp_path, capsys):
     assert f"(h = {width}, 2^{width} = {1 << width} strategies)" in out
     assert (f"honest payoff {row.honest_payoff}, best {row.payoff} "
             f"(gain {row.payoff - row.honest_payoff})") in out
+
+
+# (config lines, trials): classic; sss prevented; sss broken with the
+# fallback off and on (trial 0: the grinder's best is 11 slots, the
+# reused seed's schedule gives 12); sss collusion.
+DEMO_GRID = [
+    ("validator_count = 40\nattacker_stake_fraction = 0.7\n", range(4)),
+    ("protocol = sss\nattacker_stake_fraction = 0.1\n", range(2)),
+    ("protocol = sss\nsss_threshold_n = 28\nparticipation_rate = 0.3\n",
+     range(2)),
+    ("protocol = sss\nsss_threshold_n = 28\nparticipation_rate = 0.3\n"
+     "broken_seed_fallback = true\n", range(2)),
+    ("protocol = sss\nsss_threshold_n = 4\nparticipation_rate = 0.1\n"
+     "validator_count = 40\nstrategy_cap = 4\n", range(2)),
+]
+
+
+def test_attack_demo_payoff_line_is_the_trials_row(tmp_path, capsys):
+    cases = set()
+    for lines, trials in DEMO_GRID:
+        path = tmp_path / "run.ini"
+        path.write_text("[scenario]\n" + lines)
+        cfg = load_scenario(str(path))
+        trial = sss_trial if cfg.protocol == "sss" else classic_trial
+        for index in trials:
+            code, out, _ = run_main(
+                ["attack-demo", "--config", str(path), "--trial",
+                 str(index)],
+                capsys,
+            )
+            assert code == 0
+            row = trial(cfg, index)
+            assert out.splitlines()[-1] == (
+                f"honest payoff {row.honest_payoff}, best {row.payoff} "
+                f"(gain {row.payoff - row.honest_payoff})"
+            )
+            fallback = row.case_label == "broken" and cfg.broken_seed_fallback
+            assert ("the previous seed is reused" in out) == fallback
+            cases.add((row.case_label, cfg.broken_seed_fallback))
+    assert cases >= {("", False), ("prevented", False), ("broken", False),
+                     ("broken", True), ("collusion", False)}
 
 
 @pytest.mark.parametrize("trial", ["-1", str(2**64), str(-(2**70))])

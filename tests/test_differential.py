@@ -205,7 +205,7 @@ def test_sss_trial_matches_reveal_phase_oracle():
     for _, cfg, index in _all_trials("sss"):
         detail = sss_trial_detail(cfg, index)
         sss_cfg = SssConfig(cfg.sss_threshold_n, SHARES_PER_SECRET)
-        cases.add(detail.case.value)
+        cases.add(detail.row.case_label)
         _, flips = mask0_recovery(detail.observed, sss_cfg)
         flippable = set(flips)
         assert detail.flip_slots == sorted(flippable)[: cfg.strategy_cap]
@@ -236,7 +236,7 @@ def test_sss_trial_matches_reveal_phase_oracle():
         )
         assert detail.per_slot == expected
         n = cfg.sss_threshold_n
-        assert (detail.case.value == "broken") == (detail.observed.t < n)
+        assert (detail.row.case_label == "broken") == (detail.observed.t < n)
     assert cases == {"prevented", "broken", "collusion"}
     assert capped >= 1
 
