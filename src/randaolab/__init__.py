@@ -63,7 +63,6 @@ _LAZY = {
     ),
     "threshold_randao": (
         "RevealPhaseState",
-        "SecurityCase",
         "apply_flip_strategy",
         "best_flip_strategy",
         "classify_security_case",

@@ -286,16 +286,13 @@ def best_strategy(
     attacker: AttackerProfile,
     registry: Registry,
     cap: int = DEFAULT_STRATEGY_CAP,
-    tail_limit: Optional[int] = None,
 ) -> AttackOutcome:
-    """Grind all withhold masks over the last min(cap, tail_limit) tail
-    decision slots (see tail_decision_slots); ties go to the smallest
-    mask value."""
-    decision_slots = tail_decision_slots(
-        epoch, attacker, strategy_budget(cap, tail_limit)
-    )
+    """Grind all withhold masks over the last `cap` tail decision slots
+    (see tail_decision_slots); ties go to the smallest mask value."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     return grind(
-        *grind_inputs(epoch.posted, decision_slots),
+        *grind_inputs(epoch.posted, tail_decision_slots(epoch, attacker, cap)),
         epoch.epoch,
         registry,
         attacker.controlled,

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration problem, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -183,11 +184,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ConfigError("--workers must be >= 1")
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_attack_demo(args)
+        run = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
+               "attack-demo": _cmd_attack_demo}[args.command]
+        code = run(args)
+        # A closed stdout raises here, not in the flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone, so the output ends here.  Stdout's file
+        # now points at devnull, and the flush at exit writes nothing.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from .adversary import (
     best_strategy,
     grind,
     grind_inputs,
+    strategy_budget,
 )
 from .randao import (
     MAX_EFFECTIVE_BALANCE,
@@ -203,9 +204,8 @@ def classic_trial_detail(cfg: ScenarioConfig, index: int) -> ClassicTrialDetail:
         for v, reveal in zip(proposers, registry.reveals(proposers, index))
     ]
     state = EpochState(index, proposers, posted)
-    outcome = best_strategy(
-        state, profile, registry, cfg.strategy_cap, cfg.tail_limit
-    )
+    budget = strategy_budget(cfg.strategy_cap, cfg.tail_limit)
+    outcome = best_strategy(state, profile, registry, budget)
     # The grindable tail is a run of last slots, so the mask's width
     # names them.
     width = outcome.chosen.width
@@ -281,7 +281,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
     )
     case = classify_security_case(observed.t, h_slots, cfg.sss_threshold_n)
     payoff, honest = outcome.payoff, outcome.honest_payoff
-    if case.value == "broken" and cfg.broken_seed_fallback:
+    if case == "broken" and cfg.broken_seed_fallback:
         # Previous seed reused verbatim: the attacker gets its slots in
         # the unbiased schedule, no grinding surface.  That seed drew
         # this epoch's own schedule, so those slots are h_slots.
@@ -293,7 +293,7 @@ def sss_trial_detail(cfg: ScenarioConfig, index: int) -> SssTrialDetail:
         withheld=outcome.chosen.withheld_count,
         joined_slots=observed.t,
         attacker_proposer_slots=h_slots,
-        case_label=case.value,
+        case_label=case,
         unrecoverable_slots=sum(1 for r in per_slot if r is None),
         stake_fraction=profile.stake_fraction,
     )

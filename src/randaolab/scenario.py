@@ -226,10 +226,12 @@ def load_scenario(
     path: Optional[str] = None, overrides: Optional[dict] = None
 ) -> ScenarioConfig:
     """Defaults, then the config file's [scenario] section, then any
-    overrides (already-typed values, e.g. from CLI flags)."""
-    return _scenario(
-        _read_config(path)["scenario"] if path is not None else (), overrides
-    )
+    overrides (already-typed values, e.g. from CLI flags).  A [grid]
+    with any key is refused, not ignored: only a sweep reads it."""
+    config = _read_config(path) if path is not None else {"scenario": ()}
+    if config.get("grid"):
+        raise ConfigError("[grid] is read only by sweep, not by this command")
+    return _scenario(config["scenario"], overrides)
 
 
 def load_grid(path: str) -> tuple[ScenarioConfig, list[tuple[str, list]]]:

@@ -12,7 +12,6 @@ schedule, until the reveal phase.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .adversary import (
@@ -60,12 +59,6 @@ def _holder_slots(origin: int, row: Sequence[SharePoint]) -> Sequence[int]:
     if len(row) == SHARES_PER_SECRET:
         return recipients
     return [recipients[p.x - 1] for p in row]
-
-
-class SecurityCase(enum.Enum):
-    PREVENTED = "prevented"
-    BROKEN = "broken"
-    COLLUSION = "collusion"
 
 
 class RevealPhaseState(NamedTuple):
@@ -194,8 +187,9 @@ def recover_all(
     return tuple(per_slot)
 
 
-def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
-    """Place an epoch in the prevention / breakdown / collusion regime.
+def classify_security_case(t: int, h: int, n: int) -> str:
+    """Place an epoch in the prevention / breakdown / collusion regime:
+    "prevented", "broken" or "collusion", the label a report counts.
 
     With t joined proposers, h of them the adversary's, each origin
     gets t-h or t-h-1 honest shares; n shares recover it.  Fewer than n
@@ -213,10 +207,10 @@ def classify_security_case(t: int, h: int, n: int) -> SecurityCase:
     if not 0 <= h <= t <= SLOTS_PER_EPOCH:
         raise ValueError("need 0 <= h <= t <= 32")
     if t < n:
-        return SecurityCase.BROKEN
+        return "broken"
     if h < n:
-        return SecurityCase.PREVENTED
-    return SecurityCase.COLLUSION
+        return "prevented"
+    return "collusion"
 
 
 def _origin_table(

@@ -41,7 +41,6 @@ from randaolab.shamir import (
     split_element,
 )
 from randaolab.threshold_randao import (
-    SecurityCase,
     classify_security_case,
     recover_all,
 )
@@ -331,8 +330,8 @@ def test_criterion_7_collusion_regains_bias(announce):
                 row.attacker_proposer_slots,
                 cfg.sss_threshold_n,
             )
-            assert row.case_label == expected.value, f"epoch {index}"
-            if expected is SecurityCase.COLLUSION:
+            assert row.case_label == expected, f"epoch {index}"
+            if expected == "collusion":
                 assert row.payoff >= row.honest_payoff
         elapsed = time.perf_counter() - start
         assert elapsed < 300, f"took {elapsed:.0f}s, budget 300s"

@@ -9,6 +9,7 @@ import pytest
 
 from randaolab import adversary
 from randaolab.adversary import (
+    DEFAULT_STRATEGY_CAP,
     AttackerProfile,
     AttackOutcome,
     Strategy,
@@ -175,16 +176,18 @@ def test_best_strategy_h0_returns_honest():
 
 
 def test_best_strategy_cap():
-    # A 32-slot tail is cut to its last min(cap, tail_limit) slots, as
-    # the harness cuts it, instead of failing.
+    # A 32-slot tail is cut to its last `cap` slots, as the harness
+    # cuts it to min(strategy_cap, tail_limit), instead of failing.
     registry = make_registry(8)
     attacker = profile_of(registry, range(8))
     epoch = make_epoch([0] * 32, registry)
     outcome = best_strategy(epoch, attacker, registry, cap=8)
     assert outcome.chosen.width == 8
-    assert outcome == best_strategy(epoch, attacker, registry, tail_limit=8)
+    assert outcome == best_strategy(
+        epoch, attacker, registry, cap=min(DEFAULT_STRATEGY_CAP, 8)
+    )
     assert best_strategy(
-        epoch, attacker, registry, cap=8, tail_limit=3
+        epoch, attacker, registry, cap=min(8, 3)
     ).chosen.width == 3
     assert best_strategy(epoch, attacker, registry, cap=0).chosen.width == 0
     with pytest.raises(ValueError, match="cap"):
@@ -240,16 +243,16 @@ def test_tail_limit_restricts_and_nests():
     payoffs = []
     for limit in range(5):
         outcome = best_strategy(
-            epoch, attacker, registry, tail_limit=limit
+            epoch, attacker, registry, cap=min(DEFAULT_STRATEGY_CAP, limit)
         )
         assert outcome.chosen.width == min(limit, 4)
         payoffs.append(outcome.payoff)
     # Strategy spaces nest as the window grows, so payoffs cannot drop.
     assert payoffs == sorted(payoffs)
     assert best_strategy(
-        epoch, attacker, registry, tail_limit=0
+        epoch, attacker, registry, cap=min(DEFAULT_STRATEGY_CAP, 0)
     ).payoff == best_strategy(
-        epoch, attacker, registry, tail_limit=0
+        epoch, attacker, registry, cap=min(DEFAULT_STRATEGY_CAP, 0)
     ).honest_payoff
 
 

@@ -4,6 +4,7 @@ and the attack-demo traces."""
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -204,6 +205,9 @@ def test_workers_below_one_exits_2(command, workers, capsys):
 # Bad inputs, each rejected as a configuration problem.  A config entry
 # is written to a file that --config then names.
 NOT_UTF8 = b"\xff\xfe[scenario]\nepochs = 2\n"
+SWEEP_FILE = (
+    b"[scenario]\nepochs = 5\nvalidator_count = 20\n[grid]\nepochs = 1, 2\n"
+)
 BAD_INPUTS = {
     "pareto-nan": (["simulate"], b"[scenario]\nbalance_model = pareto:nan\n"),
     "pareto-1e-300": (
@@ -252,6 +256,9 @@ BAD_INPUTS = {
         b"[scenario]\nepochs = 5\nvalidator_count = 20\n"
         b"[grid]\nepochs = 1, 2\n",
     ),
+    # Only sweep reads [grid]: the other commands refuse it, not ignore it.
+    "simulate-grid": (["simulate"], SWEEP_FILE),
+    "attack-demo-grid": (["attack-demo"], SWEEP_FILE),
 }
 
 # The rows whose message must say more than "config error:".
@@ -262,6 +269,8 @@ BAD_INPUT_MESSAGES = {
     "grid-explicit-pair": "a [grid] value is split at commas",
     "sweep-key-in-both-sections": "config error: epochs is set in both "
                                   "[scenario] and [grid]",
+    "simulate-grid": "config error: [grid] is read only by sweep",
+    "attack-demo-grid": "config error: [grid] is read only by sweep",
 }
 
 
@@ -513,6 +522,28 @@ def test_module_invocation_matches_main(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == ",".join(COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--epochs", "2"], ["attack-demo", "--trial", "0"]],
+    ids=["simulate", "attack-demo"],
+)
+def test_closed_stdout_ends_the_run_quietly(command):
+    # As under `randaolab ... | head -1` once head has exited: the output
+    # ends there, with exit 0 and nothing on stderr, at exit included.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "randaolab.cli", *command],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")
 
 
 # -- the flag space --------------------------------------------------------------------

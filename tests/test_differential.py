@@ -264,7 +264,7 @@ def test_library_grinders_cut_as_the_trials_do(name):
             full = tail_decision_slots(detail.state, detail.profile)
             outcome = best_strategy(
                 detail.state, detail.profile, detail.registry,
-                cap=cfg.strategy_cap, tail_limit=cfg.tail_limit,
+                cap=strategy_budget(cfg.strategy_cap, cfg.tail_limit),
             )
         assert len(full) > cfg.strategy_cap == outcome.chosen.width
         assert outcome == detail.outcome

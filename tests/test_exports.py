@@ -34,7 +34,8 @@ MODULES = (
 # flip set and the grinders' mask enumeration, the share envelope
 # with its slot-to-x map (a share's holder follows from origin and x),
 # and the recovery record (its mix and seed follow from the per-slot
-# reveals, its broken flag from the security case).
+# reveals, its broken flag from the security case), and the security
+# case enum (the classifier returns the label a report counts).
 REMOVED = (
     "AdversaryDecision",
     "ELEMENT_BYTES",
@@ -46,6 +47,7 @@ REMOVED = (
     "SECONDS_PER_SLOT",
     "SHARE_WIRE_BYTES",
     "Secret",
+    "SecurityCase",
     "ShareEnvelope",
     "StrategyCapExceeded",
     "ZERO_MIX",

@@ -462,14 +462,14 @@ def test_classic_trials_grind_through_best_strategy(monkeypatch):
     calls = []
     grind = harness.best_strategy
 
-    def counting(state, profile, registry, cap, limit):
-        calls.append((cap, limit))
-        return grind(state, profile, registry, cap, limit)
+    def counting(state, profile, registry, cap):
+        calls.append(cap)
+        return grind(state, profile, registry, cap)
 
     monkeypatch.setattr(harness, "best_strategy", counting)
     cfg = small(attacker_stake_fraction=0.5, tail_limit=2, epochs=5)
     run_scenario(cfg)
-    assert calls == [(cfg.strategy_cap, 2)] * 5
+    assert calls == [min(cfg.strategy_cap, 2)] * 5
 
 
 # -- sss trials ----------------------------------------------------------------
