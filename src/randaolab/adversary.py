@@ -144,10 +144,10 @@ def evaluate_strategy(
             raise ValueError(
                 f"decision slot {slot} has no posted reveal to withhold"
             )
-    mix = b"\x00" * 32
-    for slot, reveal in enumerate(epoch.posted):
-        if reveal is not None and slot not in withheld:
-            mix = bytes(a ^ b for a, b in zip(mix, reveal))
+    mix = mix_reveals(
+        [None if slot in withheld else reveal
+         for slot, reveal in enumerate(epoch.posted)]
+    )
     seed = derive_seed(mix, epoch.epoch)
     return sum(
         1

@@ -120,8 +120,7 @@ class Registry(Sequence[Validator]):
     columns are checked and the limits computed once, when the registry
     is built.  `registry.reveals(indices, epoch)` reads the
     validators' reveals straight from the key column; `registry[i]` is a
-    validated Validator view.  Two registries are equal when their
-    columns are.
+    validated Validator view.
     """
 
     __slots__ = ("keys", "balances", "limits")
@@ -168,11 +167,6 @@ class Registry(Sequence[Validator]):
         if indices and not -count <= min(indices) <= max(indices) < count:
             raise IndexError("validator index out of range")
         return _reveals(self.keys, [32 * (i % count) for i in indices], epoch)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Registry):
-            return NotImplemented
-        return self.keys == other.keys and self.balances == other.balances
 
 
 # Hash suffix of a slot's try: slot and counter, little-endian.
@@ -311,11 +305,6 @@ class EpochState(_EpochStateFields):
         if len(posted) != SLOTS_PER_EPOCH:
             raise ValueError("posted must have one entry per slot")
         return super().__new__(cls, epoch, proposer_by_slot, posted)
-
-    @property
-    def mix(self) -> bytes:
-        """XOR of the posted reveals."""
-        return mix_reveals(self.posted)
 
     def post_reveal(self, slot: int, value: bytes) -> None:
         """Record a reveal.  A slot can post at most once; withholding

@@ -196,7 +196,7 @@ def _read_config(path: str) -> dict[str, list[tuple[str, str]]]:
         default_section="", inline_comment_prefixes=("#",), interpolation=None
     )
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -358,7 +358,8 @@ def test_criterion_8_identical_reveals_identical_seeds(announce):
                 f"epoch {index}: recovered reveals differ"
             )
             sss_seed = derive_seed(mix_reveals(shared.per_slot), index)
-            assert derive_seed(classic.state.mix, index) == sss_seed, (
+            classic_mix = mix_reveals(classic.state.posted)
+            assert derive_seed(classic_mix, index) == sss_seed, (
                 f"epoch {index}: seeds differ"
             )
             # The trial takes its reveals from the registry; interpolating

@@ -289,6 +289,26 @@ def test_bad_input_exits_2_without_a_traceback(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep"], ["attack-demo", "--trial", "0"]],
+    ids=["simulate", "sweep", "attack-demo"],
+)
+def test_config_with_utf8_bom_reads_as_without(argv, tmp_path, capsys):
+    # Windows editors start a UTF-8 file with a byte order mark.
+    config = b"[scenario]\nepochs = 2\nvalidator_count = 40\n"
+    if argv[0] == "sweep":
+        config += b"[grid]\nrng_seed = 1, 2\n"
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "run.ini"
+        path.write_bytes(prefix + config)
+        code, out, err = run_main([*argv, "--config", str(path)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] != ""
+
+
 def test_cap_above_default_exits_2(capsys):
     code, _, err = run_main(["simulate", *BASE, "--cap", "40"], capsys)
     assert code == 2

@@ -129,9 +129,6 @@ def test_package_has_no_unread_private_names():
 # Public names with no caller in the package or the benchmark, kept on
 # purpose; one line of reason each.
 REFERENCE_ONLY = {
-    # Acceptance criterion 8 derives the classic seed from an epoch's
-    # mix, which the harness folds inside the grinder instead.
-    "randao:EpochState.mix",
     # The "fewer than n shares reveal nothing" demonstration of the
     # sharing scheme, which the tests and the acceptance suite check.
     "shamir:secrecy_probe",

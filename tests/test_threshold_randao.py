@@ -274,7 +274,7 @@ def test_recover_all_equals_classic_mix_under_full_honesty():
     classic = EpochState(0, IDENTITY)
     for slot in range(32):
         classic.post_reveal(slot, REVEALS[slot])
-    assert mix_reveals(outcome) == classic.mix
+    assert mix_reveals(outcome) == mix_reveals(classic.posted)
     assert state.t >= cfg.threshold_n
 
 
